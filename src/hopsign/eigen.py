@@ -1,10 +1,8 @@
-"""Dense complex nonsymmetric eigensolver.
+"""Dense complex nonsymmetric eigenvalues.
 
-Main path: one balancing pass, Householder reduction to upper Hessenberg,
-then explicit single-shift QR iteration with complex Givens rotations,
-Wilkinson shifts, and relative-tolerance deflation.  Everything is written
-over a stack of matrices of equal size so that unions over many Bloch
-parameters run as a handful of vectorized sweeps.
+Main path: LAPACK through one batched np.linalg.eigvals call per stack of
+equal-size matrices (balancing, Hessenberg reduction and shifted QR happen
+inside zgeev), with the eigenvalues of each matrix sorted by (real, imag).
 
 Validation path: oracle_eigvals reduces by stabilized elementary similarity,
 evaluates the characteristic polynomial through the Hessenberg leading-minor
@@ -18,10 +16,6 @@ import math
 
 import numpy as np
 
-DEFLATION_TOL = 1e-12
-STALL_LIMIT = 30
-SWEEP_FACTOR = 30
-
 # oracle: root iteration stop, and the k-fold test's allowance over the
 # rounding floor per matrix dimension
 ROOT_TOL = 1e-13
@@ -29,213 +23,38 @@ KFOLD_NOISE = 2.0
 
 
 class SolverFailure(Exception):
-    """QR iteration did not converge; carries the index of the offending
-    matrix within the submitted batch."""
-
-    def __init__(self, index, sweeps):
-        self.index = index
-        self.sweeps = sweeps
-        super().__init__(f"matrix {index} not converged after {sweeps} QR sweeps")
+    """LAPACK's eigenvalue iteration did not converge."""
 
 
-class DenseMatrix:
-    """Square complex matrix; entries stored row-major."""
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a.view(float))):
-            raise ValueError("entries must be finite")
-        self.n = a.shape[0]
-        self.entries = a
-
-    def __repr__(self):
-        return f"DenseMatrix(n={self.n})"
-
-
-def _as_array(m):
-    if isinstance(m, DenseMatrix):
-        return m.entries
-    return DenseMatrix(m).entries
-
-
-def _balance_stack(a):
-    """One Osborne pass: for each index equalize row and column off-diagonal
-    1-norms by a diagonal similarity with power-of-two factors (exact in
-    floating point)."""
-    B, n, _ = a.shape
-    absa = np.abs(a)
-    for i in range(n):
-        col = absa[:, :, i].sum(axis=1) - absa[:, i, i]
-        row = absa[:, i, :].sum(axis=1) - absa[:, i, i]
-        ok = (col > 0) & (row > 0)
-        f = np.ones(B)
-        f[ok] = 2.0 ** np.clip(np.round(0.5 * np.log2(row[ok] / col[ok])), -64, 64)
-        a[:, i, :] /= f[:, None]
-        a[:, :, i] *= f[:, None]
-        absa[:, i, :] = np.abs(a[:, i, :])
-        absa[:, :, i] = np.abs(a[:, :, i])
-
-
-def _hessenberg_stack(a):
-    """Householder reduction to upper Hessenberg, in place, whole stack."""
-    B, n, _ = a.shape
-    for k in range(n - 2):
-        x = a[:, k + 1:, k]
-        normx = np.linalg.norm(x, axis=1)
-        x0 = x[:, 0]
-        absx0 = np.abs(x0)
-        phase = np.where(absx0 > 0, x0 / np.where(absx0 > 0, absx0, 1.0), 1.0)
-        v = x.copy()
-        v[:, 0] += phase * normx
-        vsq = np.einsum("bi,bi->b", v.conj(), v).real
-        beta = np.where(vsq > 0, 2.0 / np.where(vsq > 0, vsq, 1.0), 0.0)
-        sub = a[:, k + 1:, k + 1:]
-        tmp = np.einsum("bi,bij->bj", v.conj(), sub)
-        sub -= beta[:, None, None] * v[:, :, None] * tmp[:, None, :]
-        cols = a[:, :, k + 1:]
-        tmp = np.einsum("bij,bj->bi", cols, v)
-        cols -= beta[:, None, None] * tmp[:, :, None] * v.conj()[:, None, :]
-        a[:, k + 1, k] = -phase * normx
-        a[:, k + 2:, k] = 0.0
-
-
-def _wilkinson_shift(p, q, r, s):
-    """Eigenvalue of [[p, q], [r, s]] closer to s, cancellation-safe."""
-    d = 0.5 * (p - s)
-    rad = np.sqrt(d * d + q * r)
-    flip = (d.conj() * rad).real < 0
-    rad = np.where(flip, -rad, rad)
-    den = d + rad
-    qr_ = q * r
-    safe = den != 0
-    return s - np.where(safe, qr_ / np.where(safe, den, 1.0), 0.0)
-
-
-def _qr_stack(h):
-    """Shifted QR on a stack of upper Hessenberg matrices, in place; returns
-    nothing, leaves eigenvalues on the diagonals.  Deflation sets subdiagonal
-    entries to exact zero once |h[i+1,i]| <= tol * (|h[i,i]| + |h[i+1,i+1]|);
-    exactly zero subdiagonals then stay zero through later sweeps, so the
-    sweeps may always run over the full matrix."""
-    B, n, _ = h.shape
-    if n == 1:
-        return
-    sub_i = np.arange(n - 1)
-    stall = np.zeros(B, dtype=int)
-    sweeps = np.zeros(B, dtype=int)
-    prev_bottom = np.full(B, -2)
-    max_sweeps = SWEEP_FACTOR * n
-    while True:
-        subdiag = h[:, sub_i + 1, sub_i]
-        dmag = np.abs(h[:, sub_i, sub_i]) + np.abs(h[:, sub_i + 1, sub_i + 1])
-        small = np.abs(subdiag) <= DEFLATION_TOL * dmag
-        h[:, sub_i + 1, sub_i] = np.where(small, 0.0, subdiag)
-        nz = h[:, sub_i + 1, sub_i] != 0
-        live = nz.any(axis=1)
-        if not live.any():
-            return
-        # last nonzero subdiagonal sits at n - 2 - argmax(reversed); the
-        # bottom row of the live block is one below it
-        bottom = np.where(live, n - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
-        moved = bottom != prev_bottom
-        stall = np.where(moved, 0, stall + 1)
-        prev_bottom = bottom
-        sweeps[live] += 1
-        if np.any(sweeps[live] > max_sweeps):
-            bad = int(np.nonzero(live & (sweeps > max_sweeps))[0][0])
-            raise SolverFailure(bad, max_sweeps)
-
-        idx = np.nonzero(live)[0]
-        g = h[idx]
-        nb = g.shape[0]
-        b = bottom[idx]
-        brow = np.arange(nb)
-        p = g[brow, b - 1, b - 1]
-        q = g[brow, b - 1, b]
-        r = g[brow, b, b - 1]
-        s = g[brow, b, b]
-        mu = _wilkinson_shift(p, q, r, s)
-        st = stall[idx]
-        exceptional = (st > 0) & (st % STALL_LIMIT == 0)
-        if exceptional.any():
-            mu = np.where(exceptional, s + 0.75 * np.abs(r), mu)
-
-        diag = g[:, np.arange(n), np.arange(n)]
-        g[:, np.arange(n), np.arange(n)] = diag - mu[:, None]
-        imax = int(b.max())
-        us = np.empty((nb, n - 1), dtype=complex)
-        vs = np.empty((nb, n - 1), dtype=complex)
-        us[:, imax:] = 1.0
-        vs[:, imax:] = 0.0
-        for i in range(imax):
-            ga = g[:, i, i]
-            gb = g[:, i + 1, i]
-            need = gb != 0
-            rr = np.sqrt((ga.conj() * ga + gb.conj() * gb).real)
-            rs = np.where(rr > 0, rr, 1.0)
-            u = np.where(need, ga / rs, 1.0)
-            v = np.where(need, gb / rs, 0.0)
-            us[:, i] = u
-            vs[:, i] = v
-            top = u.conj()[:, None] * g[:, i, :] + v.conj()[:, None] * g[:, i + 1, :]
-            bot = -v[:, None] * g[:, i, :] + u[:, None] * g[:, i + 1, :]
-            g[:, i, :] = top
-            g[:, i + 1, :] = bot
-        for i in range(imax):
-            u = us[:, i, None]
-            v = vs[:, i, None]
-            left = u * g[:, :, i] + v * g[:, :, i + 1]
-            right = -v.conj() * g[:, :, i] + u.conj() * g[:, :, i + 1]
-            g[:, :, i] = left
-            g[:, :, i + 1] = right
-        diag = g[:, np.arange(n), np.arange(n)]
-        g[:, np.arange(n), np.arange(n)] = diag + mu[:, None]
-        h[idx] = g
+def _square(m):
+    """m as a complex 2-D square array."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    return a
 
 
 def eigvals_stack(mats):
-    """Eigenvalues of a stack (B, n, n); returns (B, n) sorted by
-    (real, imag) per matrix."""
-    a = np.array(mats, dtype=complex)
+    """Eigenvalues of a stack (B, n, n) of finite matrices; returns (B, n)
+    sorted by (real, imag) per matrix."""
+    a = np.asarray(mats, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"need shape (B, n, n), got {a.shape}")
-    n = a.shape[1]
-    if n > 1:
-        _balance_stack(a)
-        if n > 2:
-            _hessenberg_stack(a)
-        _qr_stack(a)
-    w = a[:, np.arange(n), np.arange(n)]
+    if not np.isfinite(a).all():
+        raise ValueError("entries must be finite")
+    try:
+        w = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"eigenvalue iteration did not converge on a "
+                            f"stack of {len(a)} matrices of size "
+                            f"{a.shape[1]}: {exc}") from None
     order = np.lexsort((w.imag, w.real), axis=1)
     return np.take_along_axis(w, order, axis=1)
 
 
 def eigvals(m):
     """Sorted eigenvalues (with multiplicity) of one matrix, as a list."""
-    a = _as_array(m)
-    return list(eigvals_stack(a[None, :, :])[0])
-
-
-def eigvals_batch(mats):
-    """Map eigvals over a list of matrices (sizes may differ); matrices of
-    equal size are solved in one vectorized stack.  Output order follows the
-    input order; SolverFailure indices refer to the input list."""
-    arrays = [_as_array(m) for m in mats]
-    out = [None] * len(arrays)
-    by_size = {}
-    for i, a in enumerate(arrays):
-        by_size.setdefault(a.shape[0], []).append(i)
-    for size, idxs in by_size.items():
-        stack = np.stack([arrays[i] for i in idxs])
-        try:
-            w = eigvals_stack(stack)
-        except SolverFailure as e:
-            raise SolverFailure(idxs[e.index], e.sweeps) from None
-        for j, i in enumerate(idxs):
-            out[i] = list(w[j])
-    return out
+    return list(eigvals_stack(_square(m)[None])[0])
 
 
 # ---------------------------------------------------------------- oracle ---
@@ -450,7 +269,7 @@ def oracle_eigvals(m):
     each other (relative to the largest), and clusters that pass the k-fold
     root test, come back as their cluster mean repeated with its
     multiplicity."""
-    a = _as_array(m).copy()
+    a = _square(m).copy()
     n = a.shape[0]
     if n > 16:
         raise ValueError("oracle_eigvals is limited to n <= 16")

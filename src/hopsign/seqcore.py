@@ -28,6 +28,14 @@ import threading
 import numpy as np
 
 
+def check_sigma(sigma):
+    """sigma as a float, if it is a valid amplitude in (0, 1]."""
+    sigma = float(sigma)
+    if not 0.0 < sigma <= 1.0:
+        raise ValueError(f"sigma = {sigma} is not in (0, 1]")
+    return sigma
+
+
 class SignWord:
     """An N-periodic sign sequence c_n = sigma * signs[n mod N].
 
@@ -42,11 +50,8 @@ class SignWord:
             raise ValueError("need at least one sign")
         if any(s not in (-1, 1) for s in signs):
             raise ValueError("signs must be +1 or -1")
-        sigma = float(sigma)
-        if not 0.0 < sigma <= 1.0:
-            raise ValueError("sigma must be in (0, 1]")
         self.signs = signs
-        self.sigma = sigma
+        self.sigma = check_sigma(sigma)
 
     @property
     def period(self):

@@ -11,12 +11,10 @@ section A^(N)_c simply drops the corners.
 import numpy as np
 
 from . import __version__
-from .eigen import DenseMatrix, eigvals, eigvals_stack
+from .eigen import eigvals, eigvals_stack
 from .metrics import hausdorff, matching_distance, nn_distances
-from .seqcore import SignWord, c_tilde_array, gamma_plus_word, m_word
-
-# eigensolver chunking: bounded workspace regardless of batch size
-_CHUNK_ELEMS = 2_000_000
+from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
+                      m_word)
 
 
 class SpectrumCloud:
@@ -115,7 +113,7 @@ def build_finite(c):
     idx = np.arange(n - 1)
     a[idx, idx + 1] = 1.0
     a[idx + 1, idx] = c
-    return DenseMatrix(a)
+    return a
 
 
 def build_periodic(c, alpha):
@@ -129,10 +127,10 @@ def build_periodic(c, alpha):
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-12:
         raise ValueError(f"|alpha| = {abs(alpha)} is not 1")
-    a = build_finite(c[:-1]).entries
+    a = build_finite(c[:-1])
     a[0, n - 1] = alpha * c[-1]
     a[n - 1, 0] = 1.0 / alpha
-    return DenseMatrix(a)
+    return a
 
 
 def _periodic_stack(c, alphas):
@@ -148,18 +146,6 @@ def _periodic_stack(c, alphas):
     stack[:, 0, n - 1] = alphas * c[-1]
     stack[:, n - 1, 0] = 1.0 / alphas
     return stack
-
-
-def _eigvals_chunked(stack):
-    """eigvals_stack in memory-bounded chunks."""
-    B, n, _ = stack.shape
-    step = max(64, _CHUNK_ELEMS // (n * n))
-    if B <= step:
-        return eigvals_stack(stack)
-    out = np.empty((B, n), dtype=complex)
-    for k in range(0, B, step):
-        out[k:k + step] = eigvals_stack(stack[k:k + step])
-    return out
 
 
 def unit_grid(count):
@@ -219,7 +205,7 @@ def bloch_spectrum(word, alpha_count):
     alphas = unit_grid(alpha_count)
     cloud = SpectrumCloud(word.sigma, params={"alpha_count": alpha_count})
     cloud.register_word(0, _word_pattern(word))
-    eig = _eigvals_chunked(_periodic_stack(w.cvals(), alphas))
+    eig = eigvals_stack(_periodic_stack(w.cvals(), alphas))
     _assert_inclusion(eig, word.sigma)
     for k, al in enumerate(alphas):
         cloud.add(eig[k], 0, al, w.period)
@@ -265,7 +251,7 @@ def pi_union(n_max, sigma, alpha_count, ceiling=14):
     for size in sorted(by_size):
         group = by_size[size]
         stacks = [_periodic_stack(w.cvals(), alphas) for _, w in group]
-        eig = _eigvals_chunked(np.concatenate(stacks))
+        eig = eigvals_stack(np.concatenate(stacks))
         _assert_inclusion(eig, sigma)
         for g, (wid, w) in enumerate(group):
             block = eig[g * alpha_count:(g + 1) * alpha_count]
@@ -274,13 +260,18 @@ def pi_union(n_max, sigma, alpha_count, ceiling=14):
     return cloud.sort()
 
 
-def _generator(*key_words):
-    """Counter-based RNG stream for a tuple of integer key words; distinct
-    keys give independent reproducible streams."""
+def _generator(seed, *key_words):
+    """Counter-based RNG stream for a seed in [0, 2^64) and a tuple of
+    integer key words; distinct keys give independent reproducible
+    streams."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
     mix = 0
-    for w in key_words[1:]:
+    for w in key_words:
         mix = (mix * 1_000_003 + int(w)) % (1 << 64)
-    return np.random.Generator(np.random.Philox(key=[int(key_words[0]) % (1 << 64), mix]))
+    key = np.array([seed, mix], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
@@ -288,6 +279,9 @@ def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
     """count independent draws: N in n_range with weight 1/N (small sizes
     favored), signs +sigma with probability p_sigma, twist alpha uniform on
     the circle; eigenvalues of the periodised sections."""
+    sigma = check_sigma(sigma)
+    if count < 1:
+        raise ValueError("count must be >= 1")
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo < 3 or hi < lo:
         raise ValueError("n_range must satisfy 3 <= lo <= hi")
@@ -313,7 +307,7 @@ def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
         group = by_size[size]
         stack = np.concatenate([_periodic_stack(c, [alpha])
                                 for _, c, alpha in group])
-        eig = _eigvals_chunked(stack)
+        eig = eigvals_stack(stack)
         _assert_inclusion(eig, sigma)
         for row, (k, c, alpha) in enumerate(group):
             cloud.register_word(k, "".join("+" if v > 0 else "-" for v in c))
@@ -326,6 +320,7 @@ def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0, periodic=False,
     """One realization of an i.i.d. sign vector of length n; the open and
     the periodised sections of the same draw share the c vector (the stream
     key depends only on (seed, n, p_sigma))."""
+    sigma = check_sigma(sigma)
     if n < 3:
         raise ValueError("need n >= 3")
     if not 0.0 < p_sigma < 1.0:
@@ -346,7 +341,7 @@ def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0, periodic=False,
     vals = eigvals(m)
     if periodic:
         _assert_inclusion(vals, sigma)
-    cloud.add(vals, 0, alpha, m.n)
+    cloud.add(vals, 0, alpha, n)
     return cloud
 
 
@@ -389,12 +384,12 @@ def square_spectrum_check(b, alpha_count):
     mw = m_word(bw)
     alphas = unit_grid(alpha_count)
 
-    ec = _eigvals_chunked(_periodic_stack(c_cover.cvals(), alphas))
+    ec = eigvals_stack(_periodic_stack(c_cover.cvals(), alphas))
     _assert_inclusion(ec, c_red.sigma)
     sq = ec ** 2
-    eb = _eigvals_chunked(_periodic_stack(b_cover.cvals(), alphas))
+    eb = eigvals_stack(_periodic_stack(b_cover.cvals(), alphas))
     _assert_inclusion(eb, bw.sigma)
-    em = _eigvals_chunked(_m_ring_stack(mw, alphas))
+    em = eigvals_stack(_m_ring_stack(mw, alphas))
 
     per_alpha = 0.0
     for k in range(alpha_count):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .metrics import segment_distances
-from .seqcore import c_tilde_array
+from .seqcore import c_tilde_array, check_sigma
 
 
 class Transfer2x2:
@@ -163,9 +163,7 @@ class RegionParams:
     inner curve radii rho_lower(n)."""
 
     def __init__(self, sigma):
-        sigma = float(sigma)
-        if not 0.0 < sigma <= 1.0:
-            raise ValueError("sigma must be in (0, 1]")
+        sigma = check_sigma(sigma)
         self.sigma = sigma
         self.annulus_inner = 1.0 - sigma
         self.annulus_outer = 1.0 + sigma
@@ -261,25 +259,6 @@ def hole_clearance(lams, sigma, samples=8192):
     rescan = ~near & (np.abs(pts) <= params.r_sigma + min_near)
     return min(min_near,
                float(segment_distances(pts[rescan], starts, ends).min()))
-
-
-def distance_to_hole(lams, sigma, samples=4096):
-    """Distance from each point to the closed hole (0 inside), via a dense
-    polyline of the boundary curve."""
-    lams = np.asarray(lams, dtype=complex)
-    th = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    curve = hole_boundary_radius(th, sigma) * np.exp(1j * th)
-    flat = np.atleast_1d(lams).ravel()
-    out = np.empty(flat.shape, dtype=float)
-    # chunked outer distance to keep memory flat
-    step = max(1, 10 ** 6 // samples)
-    for k in range(0, len(flat), step):
-        blk = flat[k:k + step]
-        out[k:k + step] = np.abs(blk[:, None] - curve[None, :]).min(axis=1)
-    inside = region_tests_many(flat, RegionParams(sigma))["in_H"]
-    out[inside] = 0.0
-    out = out.reshape(np.atleast_1d(lams).shape)
-    return float(out[0]) if np.isscalar(lams) or lams.ndim == 0 else out
 
 
 def paired_member(word_c, tail_sign, lam, tol=1e-9):

@@ -254,7 +254,7 @@ def _clusters_against_oracle(m, solver_vals):
     being 1e-8 for k = 1 and CLUSTER_C (eps ||A||_2)^(1/k) for k >= 2."""
     ora = np.array(oracle_eigvals(m))
     sol = matched(ora, solver_vals)
-    unit = np.finfo(float).eps * np.linalg.norm(m.entries, 2)
+    unit = np.finfo(float).eps * np.linalg.norm(m, 2)
     out = []
     for value in np.unique(ora):
         mine = ora == value
@@ -275,8 +275,8 @@ def test_criterion_11_solver_against_oracle():
     returns the exact eigenvalues of A + E with ||E|| ~ p(n) eps ||A||_2.  A
     simple eigenvalue moves by O(||E||), but a k-fold eigenvalue in one
     Jordan block moves by about (gamma ||E||)^(1/k) (the Puiseux expansion of
-    the perturbed roots), gamma its eigenvector conditioning; both QR and
-    LAPACK land 5e-6 to 7e-6 from the nilpotent section's 0.  The mean of
+    the perturbed roots), gamma its eigenvector conditioning; LAPACK lands
+    5e-6 to 7e-6 from the nilpotent section's 0.  The mean of
     the cluster is analytic in E, so it moves by O(||E||) like a simple
     eigenvalue.  Hence: each oracle cluster's matched solver mean lies within
     1e-8; each member lies within 1e-8 when k = 1 and within

@@ -1,6 +1,7 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from hopsign.cli import _derived_path, main
@@ -113,3 +114,39 @@ def test_io_failure_exits_1(tmp_path, capsys):
                "--out-csv", str(tmp_path / "no_dir" / "x.csv")])
     assert rc == 1
     capsys.readouterr()
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("bad input must be rejected before any solve")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--seed", "1", "--sigma", "-1"],
+    ["sample", "--seed", "1", "--sigma", "nan"],
+    ["sample", "--seed", "1", "--sigma", "1.5"],
+    ["sample", "--seed", "1", "--count", "0"],
+    ["sample", "--seed=-1"],
+    ["finite", "--seed", "1", "--sigma", "2"],
+    ["finite", "--seed", "1", "--sigma", "nan"],
+])
+def test_bad_sampler_input_exits_2_before_solving(argv, monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvals", _no_solve)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: invalid configuration" in err
+    assert "Traceback" not in err
+
+
+def test_solver_failure_exits_3(monkeypatch, capsys):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    rc = main(["pi-union", "--nmax", "3", "--alpha-count", "4"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "did not converge" in lines[0]
+    assert "Traceback" not in err

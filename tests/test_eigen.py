@@ -1,8 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from hopsign.eigen import (DenseMatrix, SolverFailure, eigvals, eigvals_batch,
-                           eigvals_stack, oracle_eigvals)
+from hopsign.eigen import eigvals, eigvals_stack, oracle_eigvals
 from hopsign.metrics import matching_distance
 from hopsign.spectra import build_finite
 
@@ -21,13 +22,14 @@ def random_matrix(n):
 
 def test_dense_matrix_validation():
     with pytest.raises(ValueError):
-        DenseMatrix(np.zeros((2, 3)))
+        eigvals(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        DenseMatrix(np.ones(4))
-    with pytest.raises(ValueError):
-        DenseMatrix([[np.nan, 0], [0, 1]])
-    m = DenseMatrix([[1, 2], [3, 4]])
-    assert m.n == 2 and m.entries.dtype == complex
+        eigvals(np.ones(4))
+    for bad in (np.nan, np.inf, complex(0, np.inf)):
+        with pytest.raises(ValueError):
+            eigvals_stack(np.array([[[bad, 0], [0, 1]]]))
+    w = eigvals_stack([[[1, 2], [3, 4]]])
+    assert w.shape == (1, 2) and w.dtype == complex
 
 
 def test_eigvals_stack_validation():
@@ -35,12 +37,6 @@ def test_eigvals_stack_validation():
         eigvals_stack(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         eigvals_stack(np.zeros((2, 2, 3)))
-
-
-def test_solver_failure_carries_context():
-    e = SolverFailure(4, 120)
-    assert e.index == 4 and e.sweeps == 120
-    assert "matrix 4" in str(e)
 
 
 def test_small_exact_cases():
@@ -71,10 +67,20 @@ def test_companion_of_unit_roots():
 
 @pytest.mark.parametrize("n", random_sizes)
 def test_random_matrices_match_lapack(n):
+    # every returned lam is an exact eigenvalue of a matrix within
+    # 100 eps ||A||_2 of A (backward error sigma_min(A - lam I)); for
+    # n <= 16 the independent oracle agrees to its own accuracy (it reaches
+    # ~5e-8 at n 14..16)
     a = random_matrix(n)
     mine = np.array(eigvals(a))
-    ref = np.linalg.eigvals(a)
-    assert matching_distance(mine, ref) < 1e-8 * max(1.0, np.abs(ref).max())
+    unit = np.finfo(float).eps * np.linalg.norm(a, 2)
+    for lam in mine:
+        smin = np.linalg.svd(a - lam * np.eye(n), compute_uv=False)[-1]
+        assert smin <= 100.0 * unit
+    if n <= 16:
+        ref = np.array(oracle_eigvals(a))
+        assert (matching_distance(mine, ref)
+                < 1e-7 * max(1.0, np.abs(ref).max()))
     assert np.all(np.diff(mine.real) >= 0)  # sorted by (real, imag)
 
 
@@ -102,20 +108,15 @@ def test_trace_and_det_consistency():
 
 
 def test_wide_magnitude_spread_is_balanced():
-    a = np.array([[1e8, 1.0], [1.0, 1e-8]], dtype=complex)
+    p, s = 1e8, 1e-8
+    a = np.array([[p, 1.0], [1.0, s]], dtype=complex)
     w = np.array(eigvals(a))
-    ref = np.linalg.eigvals(a)
-    assert matching_distance(w, ref) < 1e-6
-
-
-def test_batch_matches_singles_and_preserves_order():
-    rng = np.random.default_rng(3)
-    mats = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            for n in (4, 7, 4, 2, 7)]
-    batch = eigvals_batch(mats)
-    for m, w in zip(mats, batch):
-        assert len(w) == m.shape[0]
-        assert matching_distance(np.array(w), np.array(eigvals(m))) < 1e-10
+    # closed form of [[p, 1], [1, s]] without cancellation: the large root
+    # from the half-trace, the small one as det / large (det = p s - 1 is
+    # taken exactly, since p s rounds to 1)
+    big = 0.5 * (p + s) + np.hypot(0.5 * (p - s), 1.0)
+    det = float(Fraction(p) * Fraction(s) - 1)
+    assert matching_distance(w, [det / big, big]) < 1e-6
 
 
 def test_stack_matches_singles():

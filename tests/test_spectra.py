@@ -27,8 +27,7 @@ def test_build_finite_small():
 
 def test_build_periodic_all_ones_ring():
     m = build_periodic([1.0, 1.0, 1.0], 1.0)
-    assert np.allclose(m.entries,
-                       [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert np.allclose(m, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     d = matching_distance(eigvals(m), [-1.0, -1.0, 2.0])
     assert d < 1e-9
 
@@ -43,8 +42,8 @@ def test_build_periodic_validation():
 def test_build_periodic_twist_placement():
     al = np.exp(0.3j)
     m = build_periodic([0.5, -0.5, 0.5, -0.5], al)
-    assert m.entries[0, 3] == pytest.approx(al * -0.5)
-    assert m.entries[3, 0] == pytest.approx(1.0 / al)
+    assert m[0, 3] == pytest.approx(al * -0.5)
+    assert m[3, 0] == pytest.approx(1.0 / al)
 
 
 def test_unit_grid():
@@ -266,6 +265,22 @@ def test_random_periodic_sample_validation():
         random_periodic_sample(2, (2, 8), 0.5, 0.5, seed=0)
     with pytest.raises(ValueError):
         random_periodic_sample(2, (3, 8), 1.0, 0.5, seed=0)
+    for sigma in (-1.0, 0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            random_periodic_sample(2, (3, 8), 0.5, sigma, seed=0)
+    with pytest.raises(ValueError):
+        random_periodic_sample(0, (3, 8), 0.5, 0.5, seed=0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            random_periodic_sample(2, (3, 8), 0.5, 0.5, seed=seed)
+
+
+def test_seeds_above_2_63_give_distinct_streams():
+    # a key word >= 2^63 must not pass through float64, where 2^63 and
+    # 2^63 + 1 round to the same value
+    a = random_periodic_sample(4, (3, 8), 0.5, 0.5, seed=2 ** 63)
+    b = random_periodic_sample(4, (3, 8), 0.5, 0.5, seed=2 ** 63 + 1)
+    assert a.words != b.words or not np.array_equal(a.points, b.points)
 
 
 def test_random_finite_sample_shares_the_draw():
@@ -278,6 +293,12 @@ def test_random_finite_sample_shares_the_draw():
         random_finite_sample(2, seed=0)
     with pytest.raises(ValueError):
         random_finite_sample(5, p_sigma=0.0, seed=0)
+    for sigma in (2.0, float("nan")):
+        with pytest.raises(ValueError):
+            random_finite_sample(5, sigma=sigma, seed=0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            random_finite_sample(5, seed=seed)
 
 
 # ---------------------------------------------------------------- checks

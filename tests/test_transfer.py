@@ -6,10 +6,9 @@ import pytest
 from hopsign.seqcore import SignWord, c_iterate_word
 from hopsign.metrics import segment_distances
 from hopsign.transfer import (Classification, RegionParams, Transfer2x2,
-                              classify, decay_check, distance_to_hole,
-                              hole_boundary_radius, hole_clearance,
-                              paired_member, phi, quadratic_roots,
-                              region_tests, region_tests_many,
+                              classify, decay_check, hole_boundary_radius,
+                              hole_clearance, paired_member, phi,
+                              quadratic_roots, region_tests, region_tests_many,
                               required_decay_order, rho_curve, trace_det,
                               transfer_matrix)
 
@@ -222,17 +221,12 @@ def test_hole_is_sandwiched_between_discs():
     assert np.all(np.abs(cloud[flags]) <= p.r_sigma + 1e-12)
 
 
-def test_hole_boundary_and_distance():
+def test_hole_boundary_radius():
     sigma = 0.5
     th = np.linspace(0, 2 * np.pi, 64)
     hb = hole_boundary_radius(th, sigma)
     both = np.minimum(rho_curve(0, "+", th, sigma), rho_curve(0, "-", th, sigma))
     assert np.allclose(hb, both, atol=0)
-    assert distance_to_hole(0.0, sigma) == 0.0
-    assert distance_to_hole(1.0, sigma) == pytest.approx(sigma, abs=1e-4)
-    arr = distance_to_hole(np.array([0.0, 1.0, 2.0]), sigma)
-    assert arr.shape == (3,)
-    assert arr[0] == 0.0 and arr[2] > arr[1]
 
 
 def test_hole_clearance_known_values():
