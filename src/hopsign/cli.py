@@ -20,11 +20,11 @@ import numpy as np
 from .eigen import SolverFailure
 from .metrics import segment_distances
 from .polyalg import p_table, trace_poly, uv_polys, verify_identities
-from .seqcore import SignWord, c_iterate_word
+from .seqcore import SignWord, c_iterate_word, sign_pattern
 from .spectra import (SpectrumCloud, bloch_spectrum, closed_form_star,
                       pi_union, random_finite_sample, random_periodic_sample,
                       square_spectrum_check, symmetry_check, ue_bound_check)
-from .svgfig import cloud_figure
+from .svgfig import cloud_figure, overlay_names
 from .transfer import (RegionParams, decay_check, hole_clearance,
                        region_tests_many, rho_curve)
 
@@ -160,10 +160,8 @@ def cmd_curve(args):
                 crv = SpectrumCloud(args.sigma,
                                     params={"mode": "closed-form",
                                             "curve_n": n, "branch": br})
-                crv.register_word(0, "".join(
-                    "+" if s > 0 else "-" for s in word.signs))
-                for piece in pieces:
-                    crv.add(piece, 0, 1.0, 0)
+                crv.register_word(0, sign_pattern(word.signs))
+                crv.add(np.array(pieces), 0, 1.0, 0)
                 crv.write_csv(out_csv, command=args.command_line)
             print(f"wrote {out_csv}")
         if out_svg:
@@ -295,10 +293,19 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------- parser
 
+def _positive_float(text):
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number > 0")
+    return value
+
+
 def _add_output_args(p):
     p.add_argument("--out-csv", metavar="PATH", help="write the point cloud")
     p.add_argument("--out-svg", metavar="PATH", help="write a figure")
-    p.add_argument("--overlay", metavar="NAMES",
+    p.add_argument("--overlay", metavar="NAMES", type=overlay_names,
                    help="comma-separated guide curves: annulus, diamond, "
                         "hole, ellipses (default depends on the subcommand)")
 
@@ -356,7 +363,7 @@ def _build_parser():
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("verify", help="run the built-in self checks")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive_float, default=None,
                    help="override the per-check distance tolerances")
     p.set_defaults(func=cmd_verify)
     return parser

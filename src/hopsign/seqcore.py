@@ -36,6 +36,24 @@ def check_sigma(sigma):
     return sigma
 
 
+def sign_pattern(values):
+    """'+'/'-' string of the signs of a sequence of nonzero values."""
+    return "".join("+" if v > 0 else "-" for v in values)
+
+
+def least_rotation(signs):
+    """Lexicographically least rotation of a sign tuple."""
+    return min(signs[k:] + signs[:k] for k in range(len(signs)))
+
+
+def minimal_period(signs):
+    """Smallest d dividing len(signs) such that signs repeats its first d
+    entries."""
+    n = len(signs)
+    return next(d for d in range(1, n + 1)
+                if n % d == 0 and signs == signs[:d] * (n // d))
+
+
 class SignWord:
     """An N-periodic sign sequence c_n = sigma * signs[n mod N].
 
@@ -79,9 +97,7 @@ class SignWord:
 
     def canonical(self):
         """Lexicographically least rotation; use only when deduplicating."""
-        n = len(self.signs)
-        best = min(self.signs[k:] + self.signs[:k] for k in range(n))
-        return SignWord(best, self.sigma)
+        return SignWord(least_rotation(self.signs), self.sigma)
 
     def repeated(self, times):
         return SignWord(self.signs * int(times), self.sigma)
@@ -91,13 +107,8 @@ class SignWord:
 
         Returns (word, factor) where factor = period // minimal period.
         """
-        n = len(self.signs)
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            if all(self.signs[j] == self.signs[j % d] for j in range(n)):
-                return SignWord(self.signs[:d], self.sigma), n // d
-        return self, 1  # unreachable, d = n always matches
+        d = minimal_period(self.signs)
+        return SignWord(self.signs[:d], self.sigma), len(self.signs) // d
 
     def __eq__(self, other):
         return (isinstance(other, SignWord) and self.signs == other.signs
@@ -107,8 +118,7 @@ class SignWord:
         return hash((self.signs, self.sigma))
 
     def __repr__(self):
-        pat = "".join("+" if s > 0 else "-" for s in self.signs)
-        return f"SignWord({pat}, sigma={self.sigma})"
+        return f"SignWord({sign_pattern(self.signs)}, sigma={self.sigma})"
 
 
 class SeqWindow:

@@ -14,68 +14,67 @@ from . import __version__
 from .eigen import eigvals, eigvals_stack
 from .metrics import hausdorff, matching_distance, nn_distances
 from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
-                      m_word)
+                      least_rotation, m_word, minimal_period, sign_pattern)
+
+# pi_union refuses periods above this: 2^N words per period N
+MAX_PERIOD = 14
+# write_csv formats this many rows per write
+CSV_CHUNK = 1024
 
 
 class SpectrumCloud:
     """A tagged point cloud: each eigenvalue keeps the word id, the twist
     alpha, and the matrix size N it came from; the cloud keeps sigma, the
-    generation parameters, and the seed."""
+    generation parameters, and the seed.
+
+    Points are stored as the (B, n) blocks they were added in, each with one
+    (word_id, alpha, N) tag per row."""
 
     def __init__(self, sigma, params=None, seed=None):
         self.sigma = float(sigma)
         self.params = dict(params or {})
         self.seed = seed
         self.words = {}
-        self._points = []
-        self._word_id = []
-        self._alpha = []
-        self._N = []
+        self._blocks = []  # (points (B, n), word_id, alpha, N each (B, 1))
 
     def register_word(self, word_id, pattern):
         self.words[int(word_id)] = pattern
 
     def add(self, points, word_id, alpha, N):
-        """Append points sharing one (word, alpha, N) tag."""
-        pts = np.asarray(points, dtype=complex).ravel()
+        """Append a (B, n) block of points, or one row of n; each tag is a
+        scalar shared by all rows or a sequence of B, one per row."""
+        pts = np.atleast_2d(np.asarray(points, dtype=complex))
         if not np.all(np.isfinite(pts.view(float))):
             raise ValueError("non-finite spectrum points")
-        self._points.append(pts)
-        n = len(pts)
-        self._word_id.append(np.full(n, int(word_id)))
-        self._alpha.append(np.full(n, complex(alpha)))
-        self._N.append(np.full(n, int(N)))
 
-    @property
-    def points(self):
-        if not self._points:
-            return np.zeros(0, dtype=complex)
-        return np.concatenate(self._points)
+        def per_row(tag, dtype):
+            col = np.array(tag, dtype=dtype).reshape(-1, 1)
+            return np.broadcast_to(col, (len(pts), 1))
 
-    @property
-    def word_id(self):
-        return np.concatenate(self._word_id) if self._word_id else np.zeros(0, int)
+        self._blocks.append((pts, per_row(word_id, int),
+                             per_row(alpha, complex), per_row(N, int)))
 
-    @property
-    def alpha(self):
-        return np.concatenate(self._alpha) if self._alpha else np.zeros(0, complex)
+    def _column(self, k, dtype):
+        """Column k of the blocks (0 points, 1 word_id, 2 alpha, 3 N), one
+        entry per point in insertion order."""
+        return np.concatenate([np.zeros(0, dtype)] + [
+            np.broadcast_to(blk[k], blk[0].shape).ravel()
+            for blk in self._blocks])
 
-    @property
-    def N(self):
-        return np.concatenate(self._N) if self._N else np.zeros(0, int)
+    points = property(lambda self: self._column(0, complex))
+    word_id = property(lambda self: self._column(1, int))
+    alpha = property(lambda self: self._column(2, complex))
+    N = property(lambda self: self._column(3, int))
 
     def __len__(self):
-        return sum(len(p) for p in self._points)
+        return sum(blk[0].size for blk in self._blocks)
 
     def sort(self):
         """Reorder all columns by (re, im, N, word_id, alpha); makes output
         independent of generation order."""
         pts, wid, al, nn = self.points, self.word_id, self.alpha, self.N
         order = np.lexsort((al.imag, al.real, wid, nn, pts.imag, pts.real))
-        self._points = [pts[order]]
-        self._word_id = [wid[order]]
-        self._alpha = [al[order]]
-        self._N = [nn[order]]
+        self._blocks = [tuple(col[order, None] for col in (pts, wid, al, nn))]
         return self
 
     def write_csv(self, path, command=None):
@@ -92,59 +91,59 @@ class SpectrumCloud:
                 f.write(f"# word {wid} {self.words[wid]}\n")
             f.write("# columns: re, im, N, word_id, alpha_re, alpha_im\n")
             pts, wid, al, nn = self.points, self.word_id, self.alpha, self.N
-            for i in range(len(pts)):
-                f.write("%.17g, %.17g, %d, %d, %.17g, %.17g\n" % (
-                    pts[i].real, pts[i].imag, nn[i], wid[i],
-                    al[i].real, al[i].imag))
+            for lo in range(0, len(pts), CSV_CHUNK):
+                part = slice(lo, lo + CSV_CHUNK)
+                rows = zip(pts.real[part].tolist(), pts.imag[part].tolist(),
+                           nn[part].tolist(), wid[part].tolist(),
+                           al.real[part].tolist(), al.imag[part].tolist())
+                f.write("".join("%.17g, %.17g, %d, %d, %.17g, %.17g\n" % row
+                                for row in rows))
 
 
-def _word_pattern(word):
-    return "".join("+" if s > 0 else "-" for s in word.signs)
+def _band(sub, diag=0.0):
+    """(..., n, n) tridiagonal sections: subdiagonal sub (..., n-1), unit
+    superdiagonal, diagonal diag (scalar or n values)."""
+    sub = np.asarray(sub, dtype=float)
+    n = sub.shape[-1] + 1
+    a = np.zeros(sub.shape[:-1] + (n, n), dtype=complex)
+    idx = np.arange(n)
+    a[..., idx, idx] = diag
+    a[..., idx[:-1], idx[1:]] = 1.0
+    a[..., idx[1:], idx[:-1]] = sub
+    return a
 
 
 def build_finite(c):
     """Open N x N section from the N-1 subdiagonal values c_1..c_{N-1}:
     zero diagonal, unit superdiagonal."""
-    c = [float(v) for v in np.asarray(c, dtype=float).ravel()]
+    c = np.asarray(c, dtype=float).ravel()
     if len(c) < 1:
         raise ValueError("need at least one subdiagonal value")
-    n = len(c) + 1
-    a = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = 1.0
-    a[idx + 1, idx] = c
-    return a
+    return _band(c)
 
 
 def build_periodic(c, alpha):
     """Periodised N x N section from the N values c_1..c_N: the open section
     on c_1..c_{N-1} plus corners (1,N) = alpha c_N and (N,1) = 1/alpha."""
-    c = [float(v) for v in np.asarray(c, dtype=float).ravel()]
-    n = len(c)
-    if n < 3:
+    c = np.asarray(c, dtype=float).ravel()
+    if len(c) < 3:
         raise ValueError("periodised section needs N >= 3 (corners must not "
                          "collide with the band)")
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-12:
         raise ValueError(f"|alpha| = {abs(alpha)} is not 1")
-    a = build_finite(c[:-1])
-    a[0, n - 1] = alpha * c[-1]
-    a[n - 1, 0] = 1.0 / alpha
-    return a
+    return _periodic_stack(c, [alpha])[0]
 
 
-def _periodic_stack(c, alphas):
-    """(B, N, N) stack of periodised sections over many twists."""
-    c = np.asarray(c, dtype=float).ravel()
-    n = len(c)
+def _periodic_stack(c, alphas, diag=0.0):
+    """(B, N, N) stack of periodised sections, one twist per row: c is (N,)
+    (shared by all rows) or (B, N); each row is the band on c_1..c_{N-1}
+    (with diagonal diag) plus the corners alpha c_N and 1/alpha."""
     alphas = np.asarray(alphas, dtype=complex).ravel()
-    base = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    base[idx, idx + 1] = 1.0
-    base[idx + 1, idx] = c[:-1]
-    stack = np.broadcast_to(base, (len(alphas), n, n)).copy()
-    stack[:, 0, n - 1] = alphas * c[-1]
-    stack[:, n - 1, 0] = 1.0 / alphas
+    c = np.broadcast_to(np.asarray(c, float), (len(alphas), np.shape(c)[-1]))
+    stack = _band(c[:, :-1], diag)
+    stack[:, 0, -1] = alphas * c[:, -1]
+    stack[:, -1, 0] = 1.0 / alphas
     return stack
 
 
@@ -204,11 +203,10 @@ def bloch_spectrum(word, alpha_count):
     w = _bloch_word(word)
     alphas = unit_grid(alpha_count)
     cloud = SpectrumCloud(word.sigma, params={"alpha_count": alpha_count})
-    cloud.register_word(0, _word_pattern(word))
+    cloud.register_word(0, sign_pattern(word.signs))
     eig = eigvals_stack(_periodic_stack(w.cvals(), alphas))
     _assert_inclusion(eig, word.sigma)
-    for k, al in enumerate(alphas):
-        cloud.add(eig[k], 0, al, w.period)
+    cloud.add(eig, 0, alphas, w.period)
     return cloud
 
 
@@ -221,23 +219,18 @@ def enumerate_words(n_max, sigma=1.0):
     for n in range(1, n_max + 1):
         for bits in range(2 ** n):
             signs = tuple(1 if (bits >> i) & 1 else -1 for i in range(n))
-            rots = [signs[k:] + signs[:k] for k in range(n)]
-            if min(rots) != signs:
-                continue
-            if any(all(signs[j] == signs[j % d] for j in range(n))
-                   for d in range(1, n) if n % d == 0):
-                continue
-            out.append(SignWord(signs, sigma))
+            if least_rotation(signs) == signs and minimal_period(signs) == n:
+                out.append(SignWord(signs, sigma))
     return out
 
 
-def pi_union(n_max, sigma, alpha_count, ceiling=14):
+def pi_union(n_max, sigma, alpha_count):
     """Union of bloch_spectrum over every periodic word of period <= n_max
     (one representative per rotation class), sorted for determinism."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > ceiling:
-        raise ValueError(f"n_max = {n_max} exceeds the ceiling {ceiling} "
+    if n_max > MAX_PERIOD:
+        raise ValueError(f"n_max = {n_max} exceeds the ceiling {MAX_PERIOD} "
                          f"(2^N words per period N)")
     words = enumerate_words(n_max, sigma)
     cloud = SpectrumCloud(sigma, params={"n_max": n_max,
@@ -245,18 +238,16 @@ def pi_union(n_max, sigma, alpha_count, ceiling=14):
     alphas = unit_grid(alpha_count)
     by_size = {}
     for wid, word in enumerate(words):
-        cloud.register_word(wid, _word_pattern(word))
-        mat_word = _bloch_word(word)
-        by_size.setdefault(mat_word.period, []).append((wid, mat_word))
+        cloud.register_word(wid, sign_pattern(word.signs))
+        c = _bloch_word(word).cvals()
+        by_size.setdefault(len(c), []).append((wid, c))
     for size in sorted(by_size):
-        group = by_size[size]
-        stacks = [_periodic_stack(w.cvals(), alphas) for _, w in group]
-        eig = eigvals_stack(np.concatenate(stacks))
+        wids, cs = zip(*by_size[size])
+        row_alphas = np.tile(alphas, len(wids))
+        eig = eigvals_stack(_periodic_stack(
+            np.repeat(cs, alpha_count, axis=0), row_alphas))
         _assert_inclusion(eig, sigma)
-        for g, (wid, w) in enumerate(group):
-            block = eig[g * alpha_count:(g + 1) * alpha_count]
-            for k, al in enumerate(alphas):
-                cloud.add(block[k], wid, al, size)
+        cloud.add(eig, np.repeat(wids, alpha_count), row_alphas, size)
     return cloud.sort()
 
 
@@ -290,28 +281,22 @@ def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
     sizes = np.arange(lo, hi + 1)
     cdf = np.cumsum(1.0 / sizes)
     cdf /= cdf[-1]
-    draws = []
+    cloud = SpectrumCloud(sigma, seed=seed,
+                          params={"count": count, "n_lo": lo, "n_hi": hi,
+                                  "p_sigma": p_sigma})
+    by_size = {}
     for k in range(count):
         g = _generator(seed, 11, k)
         n = int(sizes[np.searchsorted(cdf, g.random())])
         signs = np.where(g.random(n) < p_sigma, 1.0, -1.0)
         alpha = complex(np.exp(2j * np.pi * g.random()))
-        draws.append((k, sigma * signs, alpha))
-    cloud = SpectrumCloud(sigma, seed=seed,
-                          params={"count": count, "n_lo": lo, "n_hi": hi,
-                                  "p_sigma": p_sigma})
-    by_size = {}
-    for k, c, alpha in draws:
-        by_size.setdefault(len(c), []).append((k, c, alpha))
+        cloud.register_word(k, sign_pattern(signs))
+        by_size.setdefault(n, []).append((k, sigma * signs, alpha))
     for size in sorted(by_size):
-        group = by_size[size]
-        stack = np.concatenate([_periodic_stack(c, [alpha])
-                                for _, c, alpha in group])
-        eig = eigvals_stack(stack)
+        ks, cs, alphas = zip(*by_size[size])
+        eig = eigvals_stack(_periodic_stack(cs, alphas))
         _assert_inclusion(eig, sigma)
-        for row, (k, c, alpha) in enumerate(group):
-            cloud.register_word(k, "".join("+" if v > 0 else "-" for v in c))
-            cloud.add(eig[row], k, alpha, size)
+        cloud.add(eig, ks, alphas, size)
     return cloud
 
 
@@ -337,7 +322,7 @@ def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0, periodic=False,
     cloud = SpectrumCloud(sigma, seed=seed,
                           params={"n": n, "p_sigma": p_sigma,
                                   "periodic": periodic})
-    cloud.register_word(0, "".join("+" if v > 0 else "-" for v in c))
+    cloud.register_word(0, sign_pattern(c))
     vals = eigvals(m)
     if periodic:
         _assert_inclusion(vals, sigma)
@@ -349,17 +334,7 @@ def _m_ring_stack(mw, alphas):
     """(B, P, P) stack of periodised sections of the companion operator:
     diagonal mw.diag, subdiagonal mw.sub, superdiagonal 1, corners
     (1,P) = alpha * mw.sub and (P,1) = 1/alpha."""
-    p = mw.period
-    alphas = np.asarray(alphas, dtype=complex).ravel()
-    base = np.zeros((p, p), dtype=complex)
-    idx = np.arange(p - 1)
-    base[idx, idx + 1] = 1.0
-    base[idx + 1, idx] = mw.sub
-    base[np.arange(p), np.arange(p)] = mw.diag
-    stack = np.broadcast_to(base, (len(alphas), p, p)).copy()
-    stack[:, 0, p - 1] = alphas * mw.sub
-    stack[:, p - 1, 0] = 1.0 / alphas
-    return stack
+    return _periodic_stack(np.full(mw.period, mw.sub), alphas, mw.diag)
 
 
 def square_spectrum_check(b, alpha_count):

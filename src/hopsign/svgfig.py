@@ -107,15 +107,21 @@ def _polar(theta, r):
     return r * np.exp(1j * theta)
 
 
-def add_overlays(fig, names, sigma):
-    """Draw the requested guide curves: 'annulus', 'diamond', 'hole',
-    'ellipses' (comma-separated names accepted)."""
+def overlay_names(names):
+    """The set of guide-curve names in a comma-separated string or an
+    iterable; ValueError unless each is annulus, diamond, hole or ellipses."""
     if isinstance(names, str):
         names = [s for s in names.split(",") if s]
     names = set(names)
     unknown = names - {"annulus", "diamond", "hole", "ellipses"}
     if unknown:
         raise ValueError(f"unknown overlays: {sorted(unknown)}")
+    return names
+
+
+def add_overlays(fig, names, sigma):
+    """Draw the requested guide curves (see overlay_names)."""
+    names = overlay_names(names)
     params = RegionParams(sigma)
     th = np.linspace(0, 2 * np.pi, 721)
     if "annulus" in names:

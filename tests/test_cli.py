@@ -150,3 +150,27 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "did not converge" in lines[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_verify_tolerance_exits_2(tol, monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvals", _no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", f"--tol={tol}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_bad_overlay_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvals", _no_solve)
+    csv = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["pi-union", "--nmax", "3", "--alpha-count", "8",
+              "--out-csv", str(csv), "--out-svg", str(tmp_path / "o.svg"),
+              "--overlay", "bogus"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--overlay" in err and "Traceback" not in err
+    assert not csv.exists()

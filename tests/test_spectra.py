@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopsign import __version__
 from hopsign.eigen import eigvals
 from hopsign.metrics import (hausdorff, matching_distance, nn_distances,
                              segment_distances)
-from hopsign.seqcore import SignWord, c_iterate_word
-from hopsign.spectra import (SpectrumCloud, _assert_inclusion, bloch_spectrum,
-                             build_finite, build_periodic, closed_form_star,
+from hopsign.seqcore import SignWord, c_iterate_word, m_word
+from hopsign.spectra import (SpectrumCloud, _assert_inclusion, _m_ring_stack,
+                             _periodic_stack, bloch_spectrum, build_finite,
+                             build_periodic, closed_form_star,
                              enumerate_words, pi_union, random_finite_sample,
                              random_periodic_sample, square_spectrum_check,
                              symmetry_check, ue_bound_check, unit_grid)
@@ -46,6 +50,37 @@ def test_build_periodic_twist_placement():
     assert m[3, 0] == pytest.approx(1.0 / al)
 
 
+def test_periodic_stack_rows_match_build_periodic():
+    rng = np.random.default_rng(5)
+    c = 0.5 * rng.choice([-1.0, 1.0], size=(6, 7))
+    alphas = np.exp(2j * np.pi * rng.random(6))
+    stack = _periodic_stack(c, alphas)
+    shared = _periodic_stack(c[0], alphas)  # one c vector for every row
+    assert stack.shape == shared.shape == (6, 7, 7)
+    for b in range(6):
+        want = build_periodic(c[b], alphas[b])
+        assert stack[b].tobytes() == want.tobytes()
+        assert shared[b].tobytes() == build_periodic(c[0], alphas[b]).tobytes()
+
+
+def test_m_ring_stack_is_the_companion_ring():
+    mw = m_word(SignWord((1, -1, -1), 0.25))
+    p = mw.period
+    alphas = unit_grid(5)
+    stack = _m_ring_stack(mw, alphas)
+    assert stack.shape == (5, p, p)
+    for k, al in enumerate(alphas):
+        want = np.zeros((p, p), dtype=complex)
+        for i in range(p):
+            want[i, i] = mw.diag[i]
+            if i + 1 < p:
+                want[i, i + 1] = 1.0
+                want[i + 1, i] = mw.sub
+        want[0, p - 1] = al * mw.sub
+        want[p - 1, 0] = 1.0 / al
+        assert np.array_equal(stack[k], want)
+
+
 def test_unit_grid():
     g = unit_grid(4)
     assert np.allclose(g, [1, 1j, -1, -1j], atol=1e-15)
@@ -72,6 +107,20 @@ def test_cloud_tags_and_len():
     assert np.allclose(c.alpha, [1j, 1j, 1.0])
     with pytest.raises(ValueError):
         c.add([np.nan + 0j], 0, 1.0, 2)
+    # a (B, n) block with one tag per row, and one with shared tags
+    block = np.arange(6).reshape(2, 3) + 0.5j
+    c.add(block, word_id=[7, 8], alpha=[1.0, -1j], N=[3, 5])
+    c.add(block, word_id=9, alpha=-1.0, N=3)
+    assert len(c) == 15
+    assert np.array_equal(c.points[3:], np.concatenate([block.ravel()] * 2))
+    assert list(c.word_id[3:]) == [7] * 3 + [8] * 3 + [9] * 6
+    assert list(c.N[3:]) == [3] * 3 + [5] * 3 + [3] * 6
+    assert list(c.alpha[3:]) == [1.0] * 3 + [-1j] * 3 + [-1.0] * 6
+    with pytest.raises(ValueError):
+        c.add(block, word_id=[1, 2, 3], alpha=1.0, N=3)  # 3 tags, 2 rows
+    with pytest.raises(ValueError):
+        c.add(np.array([[1.0, np.inf]]), [0], [1.0], [2])
+    assert len(c) == 15
 
 
 def test_cloud_sort_is_generation_order_independent():
@@ -106,6 +155,47 @@ def test_cloud_csv_header_and_determinism(tmp_path):
     assert "# columns: re, im, N, word_id, alpha_re, alpha_im" in text
     assert lines[-1] == "0.25, 0.5, 2, 0, 1, 0"
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cloud_csv_golden(tmp_path):
+    # edge values: signed zero, the smallest subnormal, 1/3, -1e300, a twist
+    # with a negative imaginary part, word ids >= 10
+    c = SpectrumCloud(0.25, params={"n_max": 3, "alpha_count": 2}, seed=11)
+    c.register_word(12, "+-+")
+    c.register_word(10, "-")
+    c.add([complex(-0.0, 5e-324), complex(1 / 3, -1e300)], 12,
+          complex(0.6, -0.8), 3)
+    c.add([complex(-1e300, -0.0)], 10, -1j, 4)
+    path = tmp_path / "g.csv"
+    c.write_csv(path, command="hopsign pi-union --nmax 3")
+    assert path.read_text() == f"# hopsign {__version__}\n" + (
+        "# command: hopsign pi-union --nmax 3\n"
+        "# sigma = 0.25\n"
+        "# seed = 11\n"
+        "# alpha_count = 2\n"
+        "# n_max = 3\n"
+        "# word 10 -\n"
+        "# word 12 +-+\n"
+        "# columns: re, im, N, word_id, alpha_re, alpha_im\n"
+        "-0, 4.9406564584124654e-324, 3, 12, "
+        "0.59999999999999998, -0.80000000000000004\n"
+        "0.33333333333333331, -1.0000000000000001e+300, 3, 12, "
+        "0.59999999999999998, -0.80000000000000004\n"
+        "-1.0000000000000001e+300, -0, 4, 10, -0, -1\n")
+
+
+def test_cloud_csv_rows_across_chunks(tmp_path):
+    # 2500 rows span three write chunks; each row keeps its own tags
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=2500) + 1j * rng.normal(size=2500)
+    al = unit_grid(500)
+    c = SpectrumCloud(0.5)
+    c.add(pts.reshape(500, 5), np.arange(500), al, 5)
+    c.write_csv(tmp_path / "c.csv")
+    rows = (tmp_path / "c.csv").read_text().splitlines()[3:]
+    assert rows == ["%.17g, %.17g, 5, %d, %.17g, %.17g" % (
+        z.real, z.imag, k // 5, al[k // 5].real, al[k // 5].imag)
+        for k, z in enumerate(pts)]
 
 
 # ---------------------------------------------------------------- sigma = 1
@@ -156,6 +246,24 @@ def test_bloch_quartic_identity_for_first_iterate():
     q = (((u * u - v * v) / (1 - sig * sig)) ** 2
          + ((2 * u * v) / (1 + sig * sig)) ** 2)
     assert np.abs(q - 1.0).max() < 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=9),
+       sigma=st.floats(0.0, 1.0, exclude_min=True),
+       count=st.integers(1, 16))
+def test_bloch_spectrum_matches_per_twist_solves(signs, sigma, count):
+    # the batched block path gives bit for bit the points and tags of one
+    # eigensolve per twist
+    word = SignWord(signs, sigma)
+    cloud = bloch_spectrum(word, count)
+    alphas = unit_grid(count)
+    n = len(signs)
+    per_twist = [eigvals(build_periodic(word.cvals(), al)) for al in alphas]
+    assert cloud.points.tobytes() == np.array(per_twist).tobytes()
+    assert cloud.alpha.tobytes() == np.repeat(alphas, n).tobytes()
+    assert list(cloud.word_id) == [0] * (count * n)
+    assert list(cloud.N) == [n] * (count * n)
 
 
 def test_bloch_rotation_invariance():
