@@ -48,6 +48,11 @@ def eigvals_stack(mats):
         raise SolverFailure(f"eigenvalue iteration did not converge on a "
                             f"stack of {len(a)} matrices of size "
                             f"{a.shape[1]}: {exc}") from None
+    return sort_rows(w)
+
+
+def sort_rows(w):
+    """Each row of a (B, n) array sorted by (real, imag)."""
     order = np.lexsort((w.imag, w.real), axis=1)
     return np.take_along_axis(w, order, axis=1)
 

@@ -11,7 +11,7 @@ section A^(N)_c simply drops the corners.
 import numpy as np
 
 from . import __version__
-from .eigen import eigvals, eigvals_stack
+from .eigen import eigvals, eigvals_stack, sort_rows
 from .metrics import hausdorff, matching_distance, nn_distances
 from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
                       least_rotation, m_word, minimal_period, sign_pattern)
@@ -20,6 +20,10 @@ from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
 MAX_PERIOD = 14
 # write_csv formats this many rows per write
 CSV_CHUNK = 1024
+# pi_union refuses a cloud that would not fit in the available memory at this
+# many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV and
+# SVG output peaks at 338.6 MiB RSS, 80.3 MiB after import, for 2,058,240 points
+BYTES_PER_POINT = 132
 
 
 class SpectrumCloud:
@@ -148,17 +152,25 @@ def _periodic_stack(c, alphas, diag=0.0):
 
 
 def unit_grid(count):
-    """count uniformly spaced twists on the unit circle, starting at 1."""
+    """count uniformly spaced twists on the unit circle, starting at 1.
+
+    Exactly conjugate-symmetric: entries k <= count // 2 are
+    exp(2 pi i k / count), entry count - k is their conj bit for bit."""
     if count < 1:
         raise ValueError("need at least one grid point")
-    return np.exp(2j * np.pi * np.arange(count) / count)
+    grid = np.exp(2j * np.pi * np.arange(count) / count)
+    half = count // 2
+    grid[half + 1:] = np.conj(grid[1:count - half][::-1])
+    return grid
 
 
 def _assert_inclusion(points, sigma):
     """Every periodised-section eigenvalue must lie in the closed annulus
     <1-sigma, 1+sigma> and the diamond |x|+|y| <= sqrt(2(1+sigma^2)); a
     violation beyond 1e-9 means the solver (or the builder) is broken, so
-    every generated cloud pays this cheap check."""
+    every generated cloud pays this cheap check.  Both bounds depend only
+    on |z| and |Re z| + |Im z|, which conj leaves unchanged, so checking
+    the solved twists of a grid covers their mirrored conjugates too."""
     pts = np.asarray(points, dtype=complex)
     mod = np.abs(pts)
     l1 = np.abs(pts.real) + np.abs(pts.imag)
@@ -198,15 +210,34 @@ def _bloch_word(word):
     return word
 
 
+def _grid_spectra(cs, alpha_count, sigma):
+    """(W, K, N) sorted spectra of the periodised sections of the W rows
+    of c (W, N) at the K = alpha_count twists of unit_grid.
+
+    Each section is real apart from its corners alpha c_N and 1/alpha, and
+    |alpha| = 1, so A(conj alpha) = conj A(alpha): only twists k <= K // 2
+    are solved (one stack), and row K - k is the re-sorted conj of row k."""
+    cs = np.asarray(cs, dtype=float)
+    rows, n = cs.shape
+    half = alpha_count // 2
+    solved = unit_grid(alpha_count)[:half + 1]
+    out = np.empty((rows, alpha_count, n), dtype=complex)
+    eig = eigvals_stack(_periodic_stack(np.repeat(cs, half + 1, axis=0),
+                                        np.tile(solved, rows)))
+    _assert_inclusion(eig, sigma)
+    out[:, :half + 1] = eig.reshape(rows, half + 1, n)
+    mirror = np.conj(out[:, alpha_count - half - 1:0:-1]).reshape(-1, n)
+    out[:, half + 1:] = sort_rows(mirror).reshape(rows, -1, n)
+    return out
+
+
 def bloch_spectrum(word, alpha_count):
     """Union of periodised-section spectra over the uniform alpha grid."""
     w = _bloch_word(word)
-    alphas = unit_grid(alpha_count)
     cloud = SpectrumCloud(word.sigma, params={"alpha_count": alpha_count})
     cloud.register_word(0, sign_pattern(word.signs))
-    eig = eigvals_stack(_periodic_stack(w.cvals(), alphas))
-    _assert_inclusion(eig, word.sigma)
-    cloud.add(eig, 0, alphas, w.period)
+    eig = _grid_spectra([w.cvals()], alpha_count, word.sigma)
+    cloud.add(eig[0], 0, unit_grid(alpha_count), w.period)
     return cloud
 
 
@@ -226,7 +257,9 @@ def enumerate_words(n_max, sigma=1.0):
 
 def pi_union(n_max, sigma, alpha_count):
     """Union of bloch_spectrum over every periodic word of period <= n_max
-    (one representative per rotation class), sorted for determinism."""
+    (one representative per rotation class), sorted for determinism.
+    ValueError before any solve when the cloud, at BYTES_PER_POINT a point,
+    would exceed the available memory."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_PERIOD:
@@ -241,14 +274,28 @@ def pi_union(n_max, sigma, alpha_count):
         cloud.register_word(wid, sign_pattern(word.signs))
         c = _bloch_word(word).cvals()
         by_size.setdefault(len(c), []).append((wid, c))
+    points = alpha_count * sum(n * len(group) for n, group in by_size.items())
+    free = _available_memory()
+    if free is not None and points * BYTES_PER_POINT > free:
+        raise ValueError(f"{points} points need about "
+                         f"{points * BYTES_PER_POINT / 2**20:.0f} MB, but "
+                         f"only {free / 2**20:.0f} MB is available")
     for size in sorted(by_size):
         wids, cs = zip(*by_size[size])
-        row_alphas = np.tile(alphas, len(wids))
-        eig = eigvals_stack(_periodic_stack(
-            np.repeat(cs, alpha_count, axis=0), row_alphas))
-        _assert_inclusion(eig, sigma)
-        cloud.add(eig, np.repeat(wids, alpha_count), row_alphas, size)
+        eig = _grid_spectra(cs, alpha_count, sigma)
+        cloud.add(eig.reshape(-1, size), np.repeat(wids, alpha_count),
+                  np.tile(alphas, len(wids)), size)
     return cloud.sort()
+
+
+def _available_memory():
+    """MemAvailable in bytes from /proc/meminfo, or None where unknown."""
+    try:
+        with open("/proc/meminfo") as f:
+            fields = dict(line.split(":", 1) for line in f)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError, IndexError):
+        return None
 
 
 def _generator(seed, *key_words):

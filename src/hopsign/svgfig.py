@@ -29,6 +29,15 @@ class SvgFigure:
         y = self.margin + (self.xmax - z.imag) * self.scale
         return x, y
 
+    def _path_data(self, pts, first, rest):
+        """Path data for a complex array: the format `first` for the first
+        point and `rest` for each later one, both filled with the point's
+        SVG x and y."""
+        if not len(pts):
+            return ""
+        xy = np.column_stack(self._xy(pts)).ravel().tolist()
+        return (first + rest * (len(pts) - 1)) % tuple(xy)
+
     def add_points(self, pts, color="#1f3a93", width=1.5, limit=POINT_LIMIT):
         """Scatter a complex array; deterministic stride thinning beyond
         `limit` (full data belongs in the CSV, not the figure)."""
@@ -36,28 +45,22 @@ class SvgFigure:
         if limit and len(pts) > limit:
             stride = int(np.ceil(len(pts) / limit))
             pts = pts[::stride]
+        dot = "M%.2f %.2fv0"
         for k in range(0, len(pts), 10000):
-            blk = pts[k:k + 10000]
-            frags = []
-            for z in blk:
-                x, y = self._xy(z)
-                frags.append(f"M{x:.2f} {y:.2f}v0")
+            d = self._path_data(pts[k:k + 10000], dot, dot)
             self.body.append(
-                f'<path d="{"".join(frags)}" stroke="{color}" '
+                f'<path d="{d}" stroke="{color}" '
                 f'stroke-width="{width}" stroke-linecap="round" fill="none"/>')
 
     def add_polyline(self, pts, color="#444444", width=1.0, dashed=False,
                      closed=False):
         pts = np.asarray(pts, dtype=complex).ravel()
-        frags = []
-        for i, z in enumerate(pts):
-            x, y = self._xy(z)
-            frags.append(f"{'M' if i == 0 else 'L'}{x:.2f} {y:.2f}")
+        d = self._path_data(pts, "M%.2f %.2f", "L%.2f %.2f")
         if closed:
-            frags.append("Z")
+            d += "Z"
         dash = ' stroke-dasharray="7 5"' if dashed else ""
         self.body.append(
-            f'<path d="{"".join(frags)}" stroke="{color}" '
+            f'<path d="{d}" stroke="{color}" '
             f'stroke-width="{width}"{dash} fill="none"/>')
 
     def add_axes(self):

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from hopsign import spectra
 from hopsign.cli import _derived_path, main
 
 
@@ -173,4 +174,17 @@ def test_bad_overlay_exits_2_before_writing(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "--overlay" in err and "Traceback" not in err
+    assert not csv.exists()
+
+
+def test_pi_union_too_big_for_memory_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvals", _no_solve)
+    monkeypatch.setattr(spectra, "_available_memory", lambda: 1024)
+    csv = tmp_path / "o.csv"
+    rc = main(["pi-union", "--nmax", "3", "--alpha-count", "8",
+               "--out-csv", str(csv)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "available" in err and "Traceback" not in err
     assert not csv.exists()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopsign import __version__
+from hopsign import __version__, spectra
 from hopsign.eigen import eigvals
 from hopsign.metrics import (hausdorff, matching_distance, nn_distances,
                              segment_distances)
@@ -85,6 +85,13 @@ def test_unit_grid():
     g = unit_grid(4)
     assert np.allclose(g, [1, 1j, -1, -1j], atol=1e-15)
     assert np.allclose(np.abs(unit_grid(37)), 1.0, atol=1e-15)
+    for count in range(1, 18):
+        g = unit_grid(count)
+        half = count // 2 + 1
+        direct = np.exp(2j * np.pi * np.arange(count) / count)
+        assert g[:half].tobytes() == direct[:half].tobytes()
+        for k in range(1, (count + 1) // 2):  # k = count / 2 pairs itself
+            assert g[count - k].tobytes() == np.conj(g[k]).tobytes()
     with pytest.raises(ValueError):
         unit_grid(0)
 
@@ -254,16 +261,46 @@ def test_bloch_quartic_identity_for_first_iterate():
        count=st.integers(1, 16))
 def test_bloch_spectrum_matches_per_twist_solves(signs, sigma, count):
     # the batched block path gives bit for bit the points and tags of one
-    # eigensolve per twist
+    # eigensolve per twist k <= count // 2; twist count - k is the sorted
+    # conj of twist k, and each of its points is an eigenvalue of its own
+    # section to backward error 100 eps ||A||_2
     word = SignWord(signs, sigma)
     cloud = bloch_spectrum(word, count)
     alphas = unit_grid(count)
     n = len(signs)
-    per_twist = [eigvals(build_periodic(word.cvals(), al)) for al in alphas]
-    assert cloud.points.tobytes() == np.array(per_twist).tobytes()
+    half = count // 2 + 1
+    pts = cloud.points.reshape(count, n)
+    per_twist = [eigvals(build_periodic(word.cvals(), al))
+                 for al in alphas[:half]]
+    assert pts[:half].tobytes() == np.array(per_twist).tobytes()
+    for k in range(half, count):
+        mirror = np.conj(pts[count - k])
+        mirror = mirror[np.lexsort((mirror.imag, mirror.real))]
+        assert pts[k].tobytes() == mirror.tobytes()
+        a = build_periodic(word.cvals(), alphas[k])
+        unit = np.finfo(float).eps * np.linalg.norm(a, 2)
+        for lam in pts[k]:
+            smin = np.linalg.svd(a - lam * np.eye(n), compute_uv=False)[-1]
+            assert smin <= 100.0 * unit
     assert cloud.alpha.tobytes() == np.repeat(alphas, n).tobytes()
     assert list(cloud.word_id) == [0] * (count * n)
     assert list(cloud.N) == [n] * (count * n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=9),
+       sigma=st.floats(0.0, 1.0, exclude_min=True),
+       count=st.sampled_from([4, 8, 12, 16]))
+def test_bloch_union_times_i_is_the_negated_word(signs, sigma, count):
+    # D = diag(i^j) gives D^-1 A(c, alpha) D = i A(-c, alpha i^N); on a grid
+    # of 4m twists alpha i^N is again a grid twist, and diag((-1)^j) makes
+    # each cloud symmetric under lam -> -lam, so the cloud of the negated
+    # word is i times the cloud of the word (as sets; band-edge double roots
+    # split by up to sqrt(eps))
+    word = SignWord(signs, sigma)
+    neg = SignWord([-s for s in signs], sigma)
+    got = bloch_spectrum(neg, count).points
+    assert hausdorff(got, 1j * bloch_spectrum(word, count).points) <= 1e-6
 
 
 def test_bloch_rotation_invariance():
@@ -319,6 +356,19 @@ def test_pi_union_period_one_is_two_ellipses():
     qminus = (x / (1 - sig)) ** 2 + (y / (1 + sig)) ** 2
     assert np.abs(qplus[wid == 1] - 1.0).max() < 1e-9
     assert np.abs(qminus[wid == 0] - 1.0).max() < 1e-9
+
+
+def test_pi_union_memory_estimate(monkeypatch):
+    # periods 1 and 2 are solved as period-4 sections: 3 words of N 4 and
+    # 2 of N 3, so 8 twists give 8 * 18 = 144 points
+    need = 144 * spectra.BYTES_PER_POINT
+    monkeypatch.setattr(spectra, "_available_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="144 points"):
+        pi_union(3, 0.5, 8)
+    monkeypatch.setattr(spectra, "_available_memory", lambda: need)
+    assert len(pi_union(3, 0.5, 8)) == 144
+    monkeypatch.setattr(spectra, "_available_memory", lambda: None)
+    assert len(pi_union(3, 0.5, 8)) == 144
 
 
 def test_pi_union_validation():

@@ -69,3 +69,28 @@ def test_cloud_figure_scales_to_data(tmp_path):
     assert fig.xmax == pytest.approx(1.08 * 1.5)
     fig.write(tmp_path / "cloud.svg")
     ET.parse(tmp_path / "cloud.svg")
+
+
+def test_path_strings_golden():
+    # scale 1 and no margin, so x = re + 1 and y = 1 - im; exact binary
+    # ties (1.125, 0.375, 0.875) round half to even, 1.005 and 2.675 sit
+    # just below their ties, -0.001 prints as -0.00; the 10,001 points
+    # span two path blocks
+    fig = SvgFigure(size=2, xmax=1.0, margin=0)
+    pts = np.zeros(10001, dtype=complex)
+    pts[:5] = [0.125 + 1.375j, -1.375 - 0.005j, 0.005 + 2.5j, -3 - 4j,
+               -1.001 + 1.675j]
+    pts[9999] = 0.125 + 0.125j
+    pts[10000] = -0.625 + 0.875j
+    fig.add_points(pts, limit=None)
+    fig.add_polyline(np.array([0.125 + 1.375j, -1.375 - 0.005j, 1.675]),
+                     closed=True)
+    dots = ' stroke="#1f3a93" stroke-width="1.5" stroke-linecap="round" ' \
+           'fill="none"/>'
+    assert fig.body == [
+        '<path d="M1.12 -0.38v0M-0.38 1.00v0M1.00 -1.50v0M-2.00 5.00v0'
+        'M-0.00 -0.68v0' + "M1.00 1.00v0" * 9994 + 'M1.12 0.88v0"' + dots,
+        '<path d="M0.38 0.12v0"' + dots,
+        '<path d="M1.12 -0.38L-0.38 1.00L2.67 1.00Z" stroke="#444444" '
+        'stroke-width="1.0" fill="none"/>',
+    ]
