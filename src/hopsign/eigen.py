@@ -273,7 +273,8 @@ def oracle_eigvals(m):
     simultaneous iteration, sorted by (real, imag).  Roots within 1e-6 of
     each other (relative to the largest), and clusters that pass the k-fold
     root test, come back as their cluster mean repeated with its
-    multiplicity."""
+    multiplicity.  Simple roots lie up to about 5e-8 from LAPACK's at n
+    14..16 (the coefficient noise floor), so compare at 1e-7 max(1, |lam|)."""
     a = _square(m).copy()
     n = a.shape[0]
     if n > 16:

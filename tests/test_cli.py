@@ -1,8 +1,12 @@
+import io
 import json
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hopsign import spectra
 from hopsign.cli import _derived_path, main
@@ -188,3 +192,69 @@ def test_pi_union_too_big_for_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "available" in err and "Traceback" not in err
     assert not csv.exists()
+
+
+# ---------------------------------------------------------------- fuzz
+
+VALUES = ["nan", "inf", "-1", "0", "1", "3", "1e400", "", "x"]
+
+
+def _option(valid, cap=None):
+    # half the draws from the values valid for the option, half from
+    # VALUES, leaving out integers above cap
+    other = st.sampled_from([v for v in VALUES if cap is None
+                             or not v.lstrip("-").isdigit() or int(v) <= cap])
+    return st.one_of(st.sampled_from(valid), other) if valid else other
+
+
+def _size(*valid):
+    return _option(list(valid), cap=int(valid[-1]))
+
+
+OUTPUTS = {"--out-csv": st.sampled_from(["{out}/o.csv", "{out}/no/o.csv", ""]),
+           "--out-svg": st.sampled_from(["{out}/o.svg", "{out}/no/o.svg", ""]),
+           "--overlay": st.sampled_from(["hole", "annulus,diamond", "bogus",
+                                         ""])}
+SAMPLER = {"--sigma": _option(["1"]), "--p-sigma": _option([]),
+           "--seed": _option(["0", "1", "3"]), **OUTPUTS}
+# subcommand -> (options always given, options that may be left out); the
+# size options with large defaults are always given, at most at their caps:
+# pi-union nmax 5 and alpha-count 16, sample count 20, finite nmax 40,
+# curve nmax 2
+GRAMMAR = {
+    "pi-union": ({"--nmax": _size("1", "3", "5"),
+                  "--alpha-count": _size("1", "3", "16")},
+                 {"--sigma": _option(["1"]), **OUTPUTS}),
+    "sample": ({"--count": _size("1", "3", "20")},
+               {"--nmax": _option(["3"]), **SAMPLER}),
+    "finite": ({"--nmax": _size("3", "40")}, SAMPLER),
+    "curve": ({"--nmax": _size("0", "1", "2")},
+              {"--branch": _option(["+", "-", "both"]),
+               "--sigma": _option(["1"]), "--alpha-count": _option(["1", "3"]),
+               "--mode": _option(["closed-form", "bloch", "both"]),
+               **OUTPUTS}),
+    "verify": ({}, {"--tol": _option(["1", "3"])}),
+}
+
+
+def _argv(command):
+    given_opts, maybe_opts = GRAMMAR[command]
+    return st.fixed_dictionaries(given_opts, optional=maybe_opts).map(
+        lambda opts: [command] + [x for kv in opts.items() for x in kv])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.sampled_from(sorted(GRAMMAR)).flatmap(_argv))
+def test_cli_fuzz_exits_cleanly(argv, tmp_path):
+    # any argv from the grammar ends in a documented exit code, never in a
+    # traceback
+    argv = [a.replace("{out}", str(tmp_path)) for a in argv]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), (argv, rc)
+    assert "Traceback" not in err.getvalue()

@@ -205,6 +205,20 @@ def test_cloud_csv_rows_across_chunks(tmp_path):
         for k, z in enumerate(pts)]
 
 
+@pytest.mark.parametrize("lead", [0, 1022])
+def test_cloud_csv_signed_zero_twists(tmp_path, lead):
+    # twists that differ only in the sign of a zero print their own digits,
+    # inside one chunk (lead 0) and across the chunk boundary (lead 1022)
+    twists = [1 + 0j, complex(1, -0.0), complex(-0.0, 1), complex(0.0, 1)]
+    al = [1j] * lead + twists * 2
+    c = SpectrumCloud(0.5)
+    c.add(np.ones((len(al), 1)), 0, al, 1)
+    c.write_csv(tmp_path / "z.csv")
+    rows = (tmp_path / "z.csv").read_text().splitlines()[3:]
+    assert [r.split(", ", 4)[4] for r in rows[lead:]] == [
+        "1, 0", "1, -0", "-0, 1", "0, 1"] * 2
+
+
 # ---------------------------------------------------------------- sigma = 1
 
 def test_closed_form_star_values():
@@ -303,6 +317,24 @@ def test_bloch_union_times_i_is_the_negated_word(signs, sigma, count):
     assert hausdorff(got, 1j * bloch_spectrum(word, count).points) <= 1e-6
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=12),
+       sigma=st.floats(0.0, 1.0, exclude_min=True),
+       count=st.sampled_from([4, 8, 16]))
+def test_reversed_word_has_the_same_bloch_spectrum(signs, sigma, count):
+    # J A(c, alpha)^T J is the section of a rotation of the reversed word,
+    # so every eigenvalue of the reversal's section is an eigenvalue of the
+    # word's own section at the same twist, to backward error 100 eps ||A||_2
+    c = sigma * np.array(signs, dtype=float)
+    n = len(signs)
+    for al in unit_grid(count):
+        a = build_periodic(c, al)
+        unit = np.finfo(float).eps * np.linalg.norm(a, 2)
+        for lam in eigvals(build_periodic(c[::-1], al)):
+            smin = np.linalg.svd(a - lam * np.eye(n), compute_uv=False)[-1]
+            assert smin <= 100.0 * unit
+
+
 def test_bloch_rotation_invariance():
     # rotating the word is a gauge change; each alpha-grid cloud must agree
     for word in enumerate_words(4, 0.5):
@@ -376,6 +408,39 @@ def test_pi_union_validation():
         pi_union(0, 0.5, 8)
     with pytest.raises(ValueError):
         pi_union(15, 0.5, 8)
+
+
+def test_pi_union_solves_one_word_per_reversal_pair(monkeypatch):
+    # 173 rotation-and-reversal classes x 33 solved twists; each reversal
+    # partner's points are bit-equal to its representative's at every twist
+    solved = []
+    real_solver = spectra.eigvals_stack
+
+    def counting(stack):
+        solved.append(len(stack))
+        return real_solver(stack)
+
+    monkeypatch.setattr(spectra, "eigvals_stack", counting)
+    cloud = pi_union(10, 0.5, 64)
+    assert sum(solved) == 5709
+    ids = {p: w for w, p in cloud.words.items()}
+    pts, wid, al = cloud.points, cloud.word_id, cloud.alpha
+
+    def block(w):
+        rows = np.flatnonzero(wid == w)
+        order = np.lexsort((pts.imag[rows], pts.real[rows],
+                            al.imag[rows], al.real[rows]))
+        return pts[rows][order].tobytes(), al[rows][order].tobytes()
+
+    pairs = 0
+    for pattern, w in ids.items():
+        rev = pattern[::-1]
+        partner = next(ids[r] for r in (rev[k:] + rev[:k]
+                                        for k in range(len(rev))) if r in ids)
+        if partner > w:
+            pairs += 1
+            assert block(partner) == block(w)
+    assert pairs == 226 - 173
 
 
 def test_pi_union_symmetries():
