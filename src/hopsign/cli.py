@@ -29,24 +29,27 @@ from .transfer import (RegionParams, decay_check, hole_clearance,
                        region_tests_many, rho_curve)
 
 
-def _emit(cloud, args, default_overlays=""):
-    """Write the CSV and/or SVG outputs a subcommand was asked for."""
-    if args.out_csv:
-        cloud.write_csv(args.out_csv, command=args.command_line)
-        print(f"wrote {args.out_csv}")
-    if args.out_svg:
+def _emit(cloud, args, default_overlays="", tag=None):
+    """Write the CSV and/or SVG outputs a subcommand was asked for, under
+    tagged names when tag is given."""
+    out_csv, out_svg = (_derived_path(p, tag)
+                        for p in (args.out_csv, args.out_svg))
+    if out_csv:
+        cloud.write_csv(out_csv, command=args.command_line)
+        print(f"wrote {out_csv}")
+    if out_svg:
         overlay = args.overlay if args.overlay is not None else default_overlays
         fig = cloud_figure(cloud, overlays=overlay)
-        fig.write(args.out_svg, command=args.command_line)
-        print(f"wrote {args.out_svg}")
+        fig.write(out_svg, command=args.command_line)
+        print(f"wrote {out_svg}")
 
 
 def _derived_path(path, tag):
-    """name.ext -> name.tag.ext"""
+    """name.ext -> name.tag.ext; path unchanged when it or tag is empty"""
+    if not (path and tag):
+        return path
     stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}.{tag}"
-    return f"{stem}.{tag}.{ext}"
+    return f"{stem}.{tag}.{ext}" if dot else f"{path}.{tag}"
 
 
 def cmd_pi_union(args):
@@ -98,15 +101,7 @@ def cmd_finite(args):
     print(f"periodised section: |lam| in [{np.abs(pp).min():.6g}, "
           f"{np.abs(pp).max():.6g}]")
     for tag, cloud in (("open", open_cloud), ("periodic", per_cloud)):
-        if args.out_csv:
-            path = _derived_path(args.out_csv, tag)
-            cloud.write_csv(path, command=args.command_line)
-            print(f"wrote {path}")
-        if args.out_svg:
-            path = _derived_path(args.out_svg, tag)
-            fig = cloud_figure(cloud, overlays=args.overlay or "")
-            fig.write(path, command=args.command_line)
-            print(f"wrote {path}")
+        _emit(cloud, args, tag=tag)
     return 0
 
 
@@ -136,10 +131,9 @@ def cmd_curve(args):
     if n > 8:
         raise ValueError("curve index must be <= 8 (period 2^(n+2) explodes)")
     branches = ["+", "-"] if args.branch == "both" else [args.branch]
-    tag_needed = len(branches) > 1
     for br in branches:
         word = c_iterate_word(n, br, args.sigma)
-        tag = {"+": "plus", "-": "minus"}[br]
+        tag = {"+": "plus", "-": "minus"}[br] if len(branches) > 1 else None
         pieces = _curve_samples(n, br, args.sigma)
         cloud = None
         if args.mode in ("bloch", "both"):
@@ -149,10 +143,8 @@ def cmd_curve(args):
             dev = _curve_deviation(cloud.points, n, br, args.sigma)
             print(f"curve n={n} branch={br}: max deviation of "
                   f"{len(cloud)} eigenvalues from the closed form: {dev:.6g}")
-        out_csv, out_svg = args.out_csv, args.out_svg
-        if tag_needed:
-            out_csv = out_csv and _derived_path(out_csv, tag)
-            out_svg = out_svg and _derived_path(out_svg, tag)
+        out_csv, out_svg = (_derived_path(p, tag)
+                            for p in (args.out_csv, args.out_svg))
         if out_csv:
             if cloud is not None:
                 cloud.write_csv(out_csv, command=args.command_line)
@@ -233,9 +225,9 @@ def _check_square(tol):
 
 def _check_symmetry(tol):
     res = symmetry_check(pi_union(4, 0.5, 64), tol)
-    worst = max(res["rev_max"], res["rot_max"])
+    worst = max(res["rev_max"], res["flip_max"], res["rot_max"])
     return (res["ok"], worst, "pi_union(4, 0.5, 64) closure under i*; "
-            "3 chiral words vs reversals, alpha 64")
+            "3 chiral words vs reversals and sign flips, alpha 64")
 
 
 def _check_decay():

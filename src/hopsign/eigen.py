@@ -241,30 +241,12 @@ def _merge_root_clusters(w, tol, groups):
     perturbation, so for a true k-fold root the mean restores nearly full
     accuracy whatever k is."""
     n = len(w)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(w[i] - w[j]) <= tol:
-                parent[find(i)] = find(j)
+    link = np.abs(w[:, None] - w[None, :]) <= tol
     for members in groups:
-        for i in members[1:]:
-            parent[find(int(i))] = find(int(members[0]))
-    clusters = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    out = np.empty(n, dtype=complex)
-    for members in clusters.values():
-        mean = np.mean([w[i] for i in members])
-        for i in members:
-            out[i] = mean
-    return out
+        link[np.ix_(members, members)] = True
+    for _ in range(n.bit_length()):  # transitive closure by squaring
+        link = (link.astype(int) @ link) > 0
+    return np.array([w[row].mean() for row in link])
 
 
 def oracle_eigvals(m):

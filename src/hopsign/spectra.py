@@ -24,8 +24,8 @@ MAX_PERIOD = 14
 CSV_CHUNK = 1024
 # pi_union refuses a cloud that would not fit in the available memory at this
 # many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV and
-# SVG output peaks at 338.6 MiB RSS, 80.3 MiB after import, for 2,058,240 points
-BYTES_PER_POINT = 132
+# SVG output peaks at 285.2 MiB RSS, 79.6 MiB after import, for 2,058,240 points
+BYTES_PER_POINT = 105
 
 
 class SpectrumCloud:
@@ -62,10 +62,13 @@ class SpectrumCloud:
 
     def _column(self, k, dtype):
         """Column k of the blocks (0 points, 1 word_id, 2 alpha, 3 N), one
-        entry per point in insertion order."""
-        return np.concatenate([np.zeros(0, dtype)] + [
-            np.broadcast_to(blk[k], blk[0].shape).ravel()
-            for blk in self._blocks])
+        entry per point in insertion order; read-only, and a view of the
+        stored column when the cloud holds one (B, 1) block, as after sort."""
+        cols = [np.broadcast_to(blk[k], blk[0].shape).ravel()
+                for blk in self._blocks] or [np.zeros(0, dtype)]
+        col = cols[0] if len(cols) == 1 else np.concatenate(cols)
+        col.flags.writeable = False
+        return col
 
     points = property(lambda self: self._column(0, complex))
     word_id = property(lambda self: self._column(1, int))
@@ -78,9 +81,13 @@ class SpectrumCloud:
     def sort(self):
         """Reorder all columns by (re, im, N, word_id, alpha); makes output
         independent of generation order."""
-        pts, wid, al, nn = self.points, self.word_id, self.alpha, self.N
-        order = np.lexsort((al.imag, al.real, wid, nn, pts.imag, pts.real))
-        self._blocks = [tuple(col[order, None] for col in (pts, wid, al, nn))]
+        cols = [self.points, self.word_id, self.alpha, self.N]
+        self._blocks = []  # the columns hold the only copy from here on
+        order = np.lexsort((cols[2].imag, cols[2].real, cols[1], cols[3],
+                            cols[0].imag, cols[0].real))
+        for k in range(4):  # one reordered column alive at a time
+            cols[k] = cols[k][order, None]
+        self._blocks = [tuple(cols)]
         return self
 
     def write_csv(self, path, command=None):
@@ -177,8 +184,8 @@ def _assert_inclusion(points, sigma):
     <1-sigma, 1+sigma> and the diamond |x|+|y| <= sqrt(2(1+sigma^2)); a
     violation beyond 1e-9 means the solver (or the builder) is broken, so
     every generated cloud pays this cheap check.  Both bounds depend only
-    on |z| and |Re z| + |Im z|, which conj leaves unchanged, so checking
-    the solved twists of a grid covers their mirrored conjugates too."""
+    on |z| and |Re z| + |Im z|, which conj and multiplication by i leave
+    unchanged, so checking an orbit's solved node covers the whole orbit."""
     pts = np.asarray(points, dtype=complex)
     mod = np.abs(pts)
     l1 = np.abs(pts.real) + np.abs(pts.imag)
@@ -218,25 +225,48 @@ def _bloch_word(word):
     return word
 
 
-def _grid_spectra(cs, alpha_count, sigma):
+def _orbit_spectra(cs, alpha_count, sigma):
     """(W, K, N) sorted spectra of the periodised sections of the W rows
-    of c (W, N) at the K = alpha_count twists of unit_grid.
-
-    Each section is real apart from its corners alpha c_N and 1/alpha, and
-    |alpha| = 1, so A(conj alpha) = conj A(alpha): only twists k <= K // 2
-    are solved (one stack), and row K - k is the re-sorted conj of row k."""
+    of c (W, N) at the K = alpha_count twists of unit_grid, one solve per
+    orbit of the nodes (w, k) under rev^a flip^b conj^c.  rev (J A^T J is the
+    section of a rotation of the reversed word) keeps k and lam; conj (A is
+    real but for its corners) takes k to -k, lam to conj lam; flip (D^-1 A
+    D = i A(-c, alpha i^N), D = diag(i^j)) takes c to -c, k to k - N K / 4,
+    lam to i lam; each acts where b N K / 4 is an integer and the image word
+    is a row of c up to rotation.  An orbit's least node is solved; the rest
+    take its points with re/im swapped or negated, re-sorted."""
     cs = np.asarray(cs, dtype=float)
     rows, n = cs.shape
-    half = alpha_count // 2
-    solved = unit_grid(alpha_count)[:half + 1]
-    out = np.empty((rows, alpha_count, n), dtype=complex)
-    eig = eigvals_stack(_periodic_stack(np.repeat(cs, half + 1, axis=0),
-                                        np.tile(solved, rows)))
+    size = rows * alpha_count
+    pos = cs > 0
+    index = {least_rotation(tuple(p)): w for w, p in enumerate(pos.tolist())}
+    image = np.array([[index.get(least_rotation(tuple(q)), -size)
+                       for q in v.tolist()]  # [a + 2 (b % 2), w]
+                      for v in (pos, pos[:, ::-1], ~pos, ~pos[:, ::-1])])
+    node = np.arange(size)
+    w, k = np.divmod(node, alpha_count)
+    rep, how = node.copy(), np.zeros(size, int)
+    for e, (b, c, a) in enumerate(np.ndindex(4, 2, 2)):
+        words = image[a + 2 * (b % 2)]  # a varies fastest, so a node and
+        if b * n * alpha_count % 4 == 0 and words.max() >= 0:  # its reversal
+            img = words[w] * alpha_count + (
+                k - 2 * c * k - b * n * alpha_count // 4) % alpha_count
+            better = (img >= 0) & (img < rep)
+            rep[better], how[better] = img[better], e // 2  # pick one (b, c)
+    solved = np.flatnonzero(rep == node)
+    out = np.empty((size, n), dtype=complex)  # before the solve's temporaries
+    eig = eigvals_stack(_periodic_stack(cs[solved // alpha_count], unit_grid(
+        alpha_count)[solved % alpha_count]))
     _assert_inclusion(eig, sigma)
-    out[:, :half + 1] = eig.reshape(rows, half + 1, n)
-    mirror = np.conj(out[:, alpha_count - half - 1:0:-1]).reshape(-1, n)
-    out[:, half + 1:] = sort_rows(mirror).reshape(rows, -1, n)
-    return out
+    src = np.cumsum(rep == node)[rep] - 1  # rep's row in eig
+    for t in np.flatnonzero(np.bincount(how)):  # lam = conj^c (i^-b lam_rep)
+        b, c = divmod(t, 2)  # t = 2 b + c
+        sel = np.flatnonzero(how == t)
+        xy = np.take(eig[src[sel]].view(float).reshape(len(sel), n, 2),
+                     [b % 2, 1 - b % 2], axis=2)  # exact swap and negations
+        z = (xy * [1 - 2 * (b > 1), 1 - 2 * ((0 < b < 3) != c)]).view(complex)
+        out[sel] = sort_rows(z[..., 0]) if t else z[..., 0]
+    return out.reshape(rows, alpha_count, n)
 
 
 def bloch_spectrum(word, alpha_count):
@@ -244,7 +274,7 @@ def bloch_spectrum(word, alpha_count):
     w = _bloch_word(word)
     cloud = SpectrumCloud(word.sigma, params={"alpha_count": alpha_count})
     cloud.register_word(0, sign_pattern(word.signs))
-    eig = _grid_spectra([w.cvals()], alpha_count, word.sigma)
+    eig = _orbit_spectra([w.cvals()], alpha_count, word.sigma)
     cloud.add(eig[0], 0, unit_grid(alpha_count), w.period)
     return cloud
 
@@ -265,10 +295,9 @@ def enumerate_words(n_max, sigma=1.0):
 
 def pi_union(n_max, sigma, alpha_count):
     """Union of bloch_spectrum over every periodic word of period <= n_max
-    (one representative per rotation class), sorted for determinism.
-    J A(c, alpha)^T J = A(c', alpha), c' a rotation of the reversed word, so
-    only the first word of each reversal pair is solved; the other gets a
-    copy of its spectra.
+    (one representative per rotation class), sorted for determinism; the
+    words of one size share one _orbit_spectra call, so reversals and sign
+    flips cost no solve.
     ValueError before any solve when the cloud, at BYTES_PER_POINT a point,
     would exceed the available memory."""
     if n_max < 1:
@@ -279,14 +308,11 @@ def pi_union(n_max, sigma, alpha_count):
     words = enumerate_words(n_max, sigma)
     cloud = SpectrumCloud(sigma, params={"n_max": n_max,
                                          "alpha_count": alpha_count})
-    alphas = unit_grid(alpha_count)
-    by_size, first = {}, {}
+    by_size = {}
     for wid, word in enumerate(words):
         cloud.register_word(wid, sign_pattern(word.signs))
         c = _bloch_word(word).cvals()
-        key = min(word.signs, least_rotation(word.signs[::-1]))
-        by_size.setdefault(len(c), []).append(
-            (wid, c, first.setdefault(key, wid)))
+        by_size.setdefault(len(c), []).append((wid, c))
     points = alpha_count * sum(n * len(group) for n, group in by_size.items())
     free = _available_memory()
     if free is not None and points * BYTES_PER_POINT > free:
@@ -294,15 +320,10 @@ def pi_union(n_max, sigma, alpha_count):
                          f"{points * BYTES_PER_POINT / 2**20:.0f} MB, but "
                          f"only {free / 2**20:.0f} MB is available")
     for size in sorted(by_size):
-        wids, cs, reps = zip(*by_size[size])
-        solved = [k for k, wid in enumerate(wids) if reps[k] == wid]
-        # allocated before the solve's temporaries: the other order left
-        # the heap fragmented and raised peak RSS by 2% at n_max 11-12
-        eig = np.empty((len(wids), alpha_count, size), dtype=complex)
-        np.take(_grid_spectra([cs[k] for k in solved], alpha_count, sigma),
-                np.searchsorted([wids[k] for k in solved], reps), 0, eig)
+        wids, cs = zip(*by_size[size])
+        eig = _orbit_spectra(cs, alpha_count, sigma)
         cloud.add(eig.reshape(-1, size), np.repeat(wids, alpha_count),
-                  np.tile(alphas, len(wids)), size)
+                  np.tile(unit_grid(alpha_count), len(wids)), size)
     return cloud.sort()
 
 
@@ -431,10 +452,7 @@ def square_spectrum_check(b, alpha_count):
     _assert_inclusion(eb, bw.sigma)
     em = eigvals_stack(_m_ring_stack(mw, alphas))
 
-    per_alpha = 0.0
-    for k in range(alpha_count):
-        both = np.concatenate([eb[k], em[k]])
-        per_alpha = max(per_alpha, matching_distance(sq[k], both))
+    per_alpha = max(map(matching_distance, sq, np.concatenate([eb, em], 1)))
     return {
         "hausdorff_sq_vs_b": hausdorff(sq.ravel(), eb.ravel()),
         "hausdorff_m_vs_b": hausdorff(em.ravel(), eb.ravel()),
@@ -473,21 +491,29 @@ def ue_bound_check(lam, i_max):
 
 def symmetry_check(cloud, tol=1e-8):
     """Closure of a full-enumeration cloud under multiplication by i (max
-    nearest-neighbor distance of i x cloud to the cloud), and the reversal
-    symmetry pi_union copies instead of solving: the largest per-twist
-    matching distance between each chiral word of period <= 7 (three pairs)
-    at the cloud's sigma and its reversal, both solved on 64 twists."""
+    nearest-neighbor distance of i x cloud to the cloud), and the maps
+    pi_union uses instead of solving, on direct solves at 64 twists of the
+    three chiral words of period <= 7 and their reversals (each word's flip
+    is one of these): rev_max, the largest per-twist matching distance to
+    the reversal, and flip_max, the largest per-twist Hausdorff distance of
+    spec(-c, k - NK/4) to i spec(c, k), spec(c, k - NK/2) to -spec(c, k)."""
     pts = cloud.points
     if len(pts) == 0:
         raise ValueError("empty cloud")
     rot_max = float(nn_distances(1j * pts, pts).max())
-    rev_max = 0.0
-    for word in enumerate_words(7, cloud.sigma):
-        rev = least_rotation(word.signs[::-1])
-        if rev > word.signs:  # one word of each chiral pair
-            a, b = (eigvals_stack(_periodic_stack(cloud.sigma * np.array(s),
-                                                  unit_grid(64)))
-                    for s in (word.signs, rev))
-            rev_max = max(rev_max, *map(matching_distance, a, b))
-    return {"rev_max": rev_max, "rot_max": rot_max, "tol": tol,
-            "ok": rev_max <= tol and rot_max <= tol}
+    rev_max = flip_max = 0.0
+    chiral = [w.signs for w in enumerate_words(7, cloud.sigma)
+              if least_rotation(w.signs[::-1]) > w.signs]  # one of each pair
+    spec = {s: eigvals_stack(_periodic_stack(cloud.sigma * np.array(s),
+                                             unit_grid(64)))
+            for s in chiral + [least_rotation(s[::-1]) for s in chiral]}
+    for s in chiral:
+        a, n, rev = spec[s], len(s), spec[least_rotation(s[::-1])]
+        rev_max = max(rev_max, *map(matching_distance, a, rev))
+        flip = spec[least_rotation(tuple(-x for x in s))]
+        for got, want in ((np.roll(flip, 16 * n, 0), 1j * a),
+                          (np.roll(a, 32 * n, 0), -a)):
+            d = np.abs(got[:, :, None] - want[:, None, :])
+            flip_max = float(max(flip_max, d.min(2).max(), d.min(1).max()))
+    return {"rev_max": rev_max, "flip_max": flip_max, "rot_max": rot_max,
+            "tol": tol, "ok": max(rev_max, flip_max, rot_max) <= tol}

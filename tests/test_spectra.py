@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopsign import __version__, spectra
-from hopsign.eigen import eigvals
+from hopsign.eigen import eigvals, eigvals_stack
 from hopsign.metrics import (hausdorff, matching_distance, nn_distances,
                              segment_distances)
 from hopsign.seqcore import SignWord, c_iterate_word, m_word
@@ -274,31 +274,75 @@ def test_bloch_quartic_identity_for_first_iterate():
        sigma=st.floats(0.0, 1.0, exclude_min=True),
        count=st.integers(1, 16))
 def test_bloch_spectrum_matches_per_twist_solves(signs, sigma, count):
-    # the batched block path gives bit for bit the points and tags of one
-    # eigensolve per twist k <= count // 2; twist count - k is the sorted
-    # conj of twist k, and each of its points is an eigenvalue of its own
-    # section to backward error 100 eps ||A||_2
+    # the block path solves one twist per orbit (twist 0 among them, at most
+    # one of each conjugate pair), and those rows are bit for bit one
+    # eigensolve per twist; each point of every row is an eigenvalue of its
+    # own section to backward error 100 eps ||A||_2
     word = SignWord(signs, sigma)
-    cloud = bloch_spectrum(word, count)
+    stacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "eigvals_stack",
+                   lambda s: stacks.append(s) or eigvals_stack(s))
+        cloud = bloch_spectrum(word, count)
     alphas = unit_grid(count)
+    sections = [build_periodic(word.cvals(), al) for al in alphas]
     n = len(signs)
-    half = count // 2 + 1
     pts = cloud.points.reshape(count, n)
-    per_twist = [eigvals(build_periodic(word.cvals(), al))
-                 for al in alphas[:half]]
-    assert pts[:half].tobytes() == np.array(per_twist).tobytes()
-    for k in range(half, count):
-        mirror = np.conj(pts[count - k])
-        mirror = mirror[np.lexsort((mirror.imag, mirror.real))]
-        assert pts[k].tobytes() == mirror.tobytes()
-        a = build_periodic(word.cvals(), alphas[k])
+    (stack,) = stacks
+    solved = [next(k for k, a in enumerate(sections) if np.array_equal(m, a))
+              for m in stack]
+    assert solved[0] == 0 and len(set(solved)) == len(solved)
+    assert len({min(k, -k % count) for k in solved}) == len(solved)
+    for k in solved:
+        assert pts[k].tobytes() == np.array(eigvals(sections[k])).tobytes()
+    for a, row in zip(sections, pts):
         unit = np.finfo(float).eps * np.linalg.norm(a, 2)
-        for lam in pts[k]:
+        for lam in row:
             smin = np.linalg.svd(a - lam * np.eye(n), compute_uv=False)[-1]
             assert smin <= 100.0 * unit
     assert cloud.alpha.tobytes() == np.repeat(alphas, n).tobytes()
     assert list(cloud.word_id) == [0] * (count * n)
     assert list(cloud.N) == [n] * (count * n)
+
+
+def backward_errors(cloud):
+    """sigma_min(A - lam I) / (eps ||A||_2) for every point of a cloud, with
+    A the build_periodic section of the point's own word tag and twist tag
+    (periods 1 and 2 repeated to the N tag)."""
+    pts, wid, al, nn = cloud.points, cloud.word_id, cloud.alpha, cloud.N
+    keys, group = np.unique(np.stack([wid, al.real, al.imag]), axis=1,
+                            return_inverse=True)
+    out = np.empty(len(pts))
+    for n in np.unique(nn):
+        at = np.flatnonzero(nn == n)
+        used = np.unique(group[at])
+        mats = np.zeros((keys.shape[1], n, n), dtype=complex)
+        for g in used:
+            pattern = cloud.words[int(keys[0, g])]
+            c = [cloud.sigma * (1 if s == "+" else -1) for s in pattern]
+            mats[g] = build_periodic(c * (n // len(c)),
+                                     complex(keys[1, g], keys[2, g]))
+        a = mats[group[at]]
+        smin = np.linalg.svd(a - pts[at, None, None] * np.eye(n),
+                             compute_uv=False)[:, -1]
+        out[at] = smin / (np.finfo(float).eps * np.linalg.norm(a, 2,
+                                                                axis=(1, 2)))
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=12),
+       sigma=st.floats(0.0, 1.0, exclude_min=True),
+       count=st.sampled_from([4, 8, 12, 16, 30, 63]))
+def test_every_orbit_derived_point_is_an_eigenvalue(signs, sigma, count):
+    # the rev, conj, flip and negation maps are exact similarities, so each
+    # point of a Bloch union, solved or derived, is an eigenvalue of its own
+    # word's section at its own twist to backward error 100 eps ||A||_2;
+    # pi_union derives across words of one size, bloch_spectrum within one
+    word = SignWord(signs, sigma)
+    assert backward_errors(bloch_spectrum(word, count)).max() <= 100.0
+    union = pi_union(min(len(signs), 8), sigma, count)
+    assert backward_errors(union).max() <= 100.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -411,8 +455,9 @@ def test_pi_union_validation():
 
 
 def test_pi_union_solves_one_word_per_reversal_pair(monkeypatch):
-    # 173 rotation-and-reversal classes x 33 solved twists; each reversal
-    # partner's points are bit-equal to its representative's at every twist
+    # the 226 words x 64 twists fall into 2,431 orbits under reversal, sign
+    # flip and conj, one solve each; each reversal partner's points are
+    # bit-equal to its representative's at every twist
     solved = []
     real_solver = spectra.eigvals_stack
 
@@ -422,7 +467,7 @@ def test_pi_union_solves_one_word_per_reversal_pair(monkeypatch):
 
     monkeypatch.setattr(spectra, "eigvals_stack", counting)
     cloud = pi_union(10, 0.5, 64)
-    assert sum(solved) == 5709
+    assert sum(solved) == 2431
     ids = {p: w for w, p in cloud.words.items()}
     pts, wid, al = cloud.points, cloud.word_id, cloud.alpha
 
