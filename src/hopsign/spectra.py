@@ -17,6 +17,7 @@ from .eigen import eigvals, eigvals_stack, sort_rows
 from .metrics import hausdorff, matching_distance, nn_distances
 from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
                       least_rotation, m_word, minimal_period, sign_pattern)
+from .transfer import det_residual
 
 # pi_union refuses periods above this: 2^N words per period N
 MAX_PERIOD = 14
@@ -386,8 +387,7 @@ def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
     return cloud
 
 
-def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0, periodic=False,
-                         alpha=None):
+def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0, periodic=False):
     """One realization of an i.i.d. sign vector of length n; the open and
     the periodised sections of the same draw share the c vector (the stream
     key depends only on (seed, n, p_sigma))."""
@@ -399,19 +399,16 @@ def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0, periodic=False,
     g = _generator(seed, 13, n, int(round(p_sigma * 10 ** 9)))
     c = sigma * np.where(g.random(n) < p_sigma, 1.0, -1.0)
     if periodic:
-        if alpha is None:
-            alpha = complex(np.exp(2j * np.pi * g.random()))
-        m = build_periodic(c, alpha)
+        alpha = complex(np.exp(2j * np.pi * g.random()))
+        vals = eigvals(build_periodic(c, alpha))
+        _assert_inclusion(vals, sigma)
     else:
         alpha = 1.0
-        m = build_finite(c[:-1])
+        vals = eigvals(build_finite(c[:-1]))
     cloud = SpectrumCloud(sigma, seed=seed,
                           params={"n": n, "p_sigma": p_sigma,
                                   "periodic": periodic})
     cloud.register_word(0, sign_pattern(c))
-    vals = eigvals(m)
-    if periodic:
-        _assert_inclusion(vals, sigma)
     cloud.add(vals, 0, alpha, n)
     return cloud
 
@@ -490,30 +487,27 @@ def ue_bound_check(lam, i_max):
 
 
 def symmetry_check(cloud, tol=1e-8):
-    """Closure of a full-enumeration cloud under multiplication by i (max
-    nearest-neighbor distance of i x cloud to the cloud), and the maps
-    pi_union uses instead of solving, on direct solves at 64 twists of the
-    three chiral words of period <= 7 and their reversals (each word's flip
-    is one of these): rev_max, the largest per-twist matching distance to
-    the reversal, and flip_max, the largest per-twist Hausdorff distance of
-    spec(-c, k - NK/4) to i spec(c, k), spec(c, k - NK/2) to -spec(c, k)."""
+    """Closure of a full-enumeration cloud under multiplication by i (rot_max,
+    the max nearest-neighbor distance of i x cloud to the cloud), and the
+    maps pi_union uses instead of solving, on the three chiral words c of
+    period <= 7 (one of each reversal pair) at 64 twists: lam in spec(c, k)
+    has a near-eps det_residual on the reversal at k (rev_max), i lam on -c
+    at k - NK/4 and -lam on c at k - NK/2 (flip_max), even where a double
+    eigenvalue splits by sqrt(eps), as at sigma = 1."""
     pts = cloud.points
     if len(pts) == 0:
         raise ValueError("empty cloud")
     rot_max = float(nn_distances(1j * pts, pts).max())
     rev_max = flip_max = 0.0
-    chiral = [w.signs for w in enumerate_words(7, cloud.sigma)
-              if least_rotation(w.signs[::-1]) > w.signs]  # one of each pair
-    spec = {s: eigvals_stack(_periodic_stack(cloud.sigma * np.array(s),
-                                             unit_grid(64)))
-            for s in chiral + [least_rotation(s[::-1]) for s in chiral]}
-    for s in chiral:
-        a, n, rev = spec[s], len(s), spec[least_rotation(s[::-1])]
-        rev_max = max(rev_max, *map(matching_distance, a, rev))
-        flip = spec[least_rotation(tuple(-x for x in s))]
-        for got, want in ((np.roll(flip, 16 * n, 0), 1j * a),
-                          (np.roll(a, 32 * n, 0), -a)):
-            d = np.abs(got[:, :, None] - want[:, None, :])
-            flip_max = float(max(flip_max, d.min(2).max(), d.min(1).max()))
+    alphas = unit_grid(64)[:, None]
+    for w in enumerate_words(7, cloud.sigma):
+        if least_rotation(w.signs[::-1]) > w.signs:
+            c, n = np.array(w.cvals()), w.period
+            lam = eigvals_stack(_periodic_stack(c, alphas[:, 0]))
+            res = [float(det_residual(word, np.roll(alphas, shift, 0), z).max())
+                   for word, shift, z in ((c[::-1], 0, lam),
+                                          (-c, 16 * n, 1j * lam),
+                                          (c, 32 * n, -lam))]
+            rev_max, flip_max = max(rev_max, res[0]), max(flip_max, *res[1:])
     return {"rev_max": rev_max, "flip_max": flip_max, "rot_max": rot_max,
             "tol": tol, "ok": max(rev_max, flip_max, rot_max) <= tol}

@@ -11,6 +11,9 @@ condition is Phi(tau, gamma) = 1 with
     Phi = Re(tau)^2 / (1+gamma)^2 + Im(tau)^2 / (1-gamma)^2,
 
 Phi < 1 marking the both-roots-inside region I and Phi > 1 the split region O.
+One array recurrence, transfer_product, computes every such product in
+floats: trace_det, classify, paired_member, det_residual and decay_check
+all call it.
 """
 
 import cmath
@@ -21,40 +24,9 @@ import numpy as np
 from .metrics import segment_distances
 from .seqcore import c_tilde_array, check_sigma
 
-
-class Transfer2x2:
-    """A 2x2 complex matrix (a11 a12 / a21 a22)."""
-
-    def __init__(self, a11, a12, a21, a22):
-        self.a11 = complex(a11)
-        self.a12 = complex(a12)
-        self.a21 = complex(a21)
-        self.a22 = complex(a22)
-
-    def __matmul__(self, other):
-        return Transfer2x2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22)
-
-    def trace(self):
-        return self.a11 + self.a22
-
-    def det(self):
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def __repr__(self):
-        return f"Transfer2x2({self.a11}, {self.a12}, {self.a21}, {self.a22})"
-
-
-class TraceData:
-    """Trace tau of T_p at lam, determinant gamma = c_1 ... c_p, period p."""
-
-    def __init__(self, tau, gamma, p):
-        self.tau = complex(tau)
-        self.gamma = float(gamma)
-        self.p = int(p)
+RESCALE_EVERY = 32  # factors between the rescalings of transfer_product
+DECAY_HORIZON = 2048  # steps of the decay_check recurrence
+HOLE_SAMPLES = 8192  # vertices of the hole_clearance boundary polyline
 
 
 class Classification:
@@ -72,26 +44,50 @@ class Classification:
                 f"|z2|={self.z2_abs:.6g}, Phi={self.phi_value:.6g})")
 
 
-def transfer_matrix(word, lam):
-    """T_p = X_p ... X_1 over one period of the word, multiplied one factor
-    at a time from X_1 upward."""
-    lam = complex(lam)
-    cs = word.cvals()
-    t = Transfer2x2(0.0, 1.0, -cs[0], lam)
-    for c in cs[1:]:
-        t = Transfer2x2(0.0, 1.0, -c, lam) @ t
-    return t
+def transfer_product(c, lam):
+    """(t, e) with t * 2^e = T = X_n ... X_1, X_k = [[0, 1], [-c_k, lam]],
+    for c of shape (..., n) and lam broadcast against c[..., 0]: t is
+    (..., 2, 2) and e an integer array.  Every RESCALE_EVERY factors the
+    product is divided by the power of two of its largest entry, an exact
+    step that keeps long products from overflowing or underflowing."""
+    c = np.asarray(c, dtype=float)
+    lam = np.asarray(lam, dtype=complex)[..., None]
+    shape = np.broadcast_shapes(lam.shape[:-1], c.shape[:-1])
+    top, bot = np.zeros((2,) + shape + (2,), dtype=complex)
+    top[..., 0] = bot[..., 1] = 1.0
+    e = np.zeros(shape, dtype=int)
+    for k in range(c.shape[-1]):
+        top, bot = bot, lam * bot - c[..., k, None] * top
+        if k % RESCALE_EVERY == RESCALE_EVERY - 1:
+            ek = np.frexp(np.maximum(abs(top), abs(bot)).max(-1))[1]
+            scale = np.ldexp(1.0, -ek)[..., None]
+            top, bot, e = top * scale, bot * scale, e + ek
+    return np.stack([top, bot], -2), e
+
+
+def _trace(c, lam):
+    """tr T for transfer_product(c, lam)."""
+    t, e = transfer_product(c, lam)
+    return np.ldexp(1.0, e) * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def trace_det(word, lam):
-    """tau from the matrix product; gamma from the sign product times
-    sigma^p (never from the matrix, to keep it exactly lam-independent)."""
-    p = word.period
-    tau = transfer_matrix(word, lam).trace()
-    sign = 1
-    for s in word.signs:
-        sign *= s
-    return TraceData(tau, sign * word.sigma ** p, p)
+    """(tau, gamma) for the word at lam of any shape: tau = tr T_p(lam), and
+    gamma = c_1 ... c_p from the sign product times sigma^p (never from the
+    matrix, to keep it exactly lam-independent)."""
+    return (_trace(word.cvals(), lam),
+            math.prod(word.signs) * word.sigma ** word.period)
+
+
+def det_residual(c, alpha, lam):
+    """|f| / (sum of the moduli of its terms) for f = det(lam I - A(c, alpha))
+    = tau(lam) - (1/alpha + gamma alpha), A the periodised section on c_1..c_N
+    (corner last), |alpha| = 1, alpha and lam broadcast against c[..., 0];
+    the moduli come from the recurrence on (-|c|, |lam|)."""
+    gamma = np.prod(c, axis=-1)
+    f = _trace(c, lam) - (1.0 / alpha + gamma * alpha)
+    terms = _trace(-np.abs(c), np.abs(lam)).real + 1.0 + np.abs(gamma)
+    return np.abs(f) / terms
 
 
 def phi(tau, gamma):
@@ -120,9 +116,9 @@ def classify(word, lam, tol=1e-9):
     O if Phi > 1 + tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    td = trace_det(word, lam)
-    pv = phi(td.tau, td.gamma)
-    z1, z2 = quadratic_roots(td.tau, td.gamma)
+    tau, gamma = trace_det(word, lam)
+    pv = phi(tau, gamma)
+    z1, z2 = quadratic_roots(tau, gamma)
     if abs(pv - 1.0) <= tol:
         label = "B"
     elif pv < 1.0:
@@ -229,7 +225,7 @@ def hole_boundary_radius(theta, sigma):
                       rho_curve(0, "-", theta, sigma))
 
 
-def hole_clearance(lams, sigma, samples=8192):
+def hole_clearance(lams, sigma):
     """Minimum distance from a point set to the closed central hole, by exact
     projection onto the chords of a dense boundary polyline.
 
@@ -245,7 +241,7 @@ def hole_clearance(lams, sigma, samples=8192):
         raise ValueError("empty point set")
     if region_tests_many(pts, params)["in_H"].any():
         return 0.0
-    th = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    th = np.linspace(0.0, 2.0 * np.pi, HOLE_SAMPLES, endpoint=False)
     verts = hole_boundary_radius(th, sigma) * np.exp(1j * th)
     starts, ends = verts, np.roll(verts, -1)
     margin = 0.05
@@ -287,19 +283,19 @@ def required_decay_order(sigma):
     return d
 
 
-def decay_check(lam, sigma, d, horizon=2048):
+def decay_check(lam, sigma, d):
     """Empirical decay rates of both fundamental solutions of
 
         xi_{n+1} = lam xi_n - c_n xi_{n-1},   c_n = sigma * c~_n (period 2^d)
 
     started from (xi_0, xi_1) = (0, 1) and (1, 0).  The rate of a solution is
-    the per-step growth of its two-term state (|xi_{r-1}|, |xi_r|) at the
-    horizon, with running renormalization so nothing overflows.  Requires
-    sqrt(sigma) < 4^(-1/2^d); any lam is accepted, so growth (rate > 1) is
-    observable outside the decay disc.
+    the per-step growth of its two-term state (|xi_{r-1}|, |xi_r|), a column
+    of transfer_product, at r = DECAY_HORIZON.  Requires sqrt(sigma) <
+    4^(-1/2^d); any lam is accepted, so growth (rate > 1) is observable
+    outside the decay disc.
 
-    Returns {"rates": (r1, r2), "rate": max, "decays": max < 1,
-             "h": 4^(-1/m), "required_d": minimal admissible d}.
+    Returns {"rates": (r1, r2), "rate": max, "decays": max < 1, "h":
+    4^(-1/m), "required_d": minimal admissible d}, each of lam's shape.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must be in (0, 1)")
@@ -311,22 +307,10 @@ def decay_check(lam, sigma, d, horizon=2048):
         raise ValueError(
             f"sigma^(1/2) = {math.sqrt(sigma):.6g} is not < 4^(-1/{m}) = {h:.6g}; "
             f"minimal admissible d is {required_decay_order(sigma)}")
-    lam = complex(lam)
-    ct = c_tilde_array(m)
-    cper = [sigma * int(ct[r]) for r in range(1, m + 1)]  # c_1 .. c_m, then repeat
-    rates = []
-    for x0, x1 in ((0j, 1.0 + 0j), (1.0 + 0j, 0j)):
-        a, b = x0, x1
-        logoff = 0.0
-        for n in range(1, horizon + 1):
-            a, b = b, lam * b - cper[(n - 1) % m] * a
-            mag = max(abs(a), abs(b))
-            if mag > 1e100 or mag < 1e-100:
-                a /= mag
-                b /= mag
-                logoff += math.log(mag)
-        state = max(abs(a), abs(b))
-        rates.append(math.exp((math.log(state) + logoff) / horizon))
-    rate = max(rates)
-    return {"rates": tuple(rates), "rate": rate, "decays": rate < 1.0,
+    c = sigma * np.resize(c_tilde_array(m)[1:], DECAY_HORIZON)  # c_1, c_2, ...
+    t, e = transfer_product(c, lam)
+    state = np.log2(abs(t).max(-2)) + e[..., None]  # columns: (1, 0), (0, 1)
+    r2, r1 = np.moveaxis(np.exp2(state / DECAY_HORIZON), -1, 0)
+    rate = np.maximum(r1, r2)
+    return {"rates": (r1, r2), "rate": rate, "decays": rate < 1.0,
             "h": h, "required_d": required_decay_order(sigma)}

@@ -43,7 +43,7 @@ def test_signword_validation():
 @pytest.mark.parametrize("signs,s2", word_args)
 def test_rotated_shifts_the_sequence(signs, s2):
     w = SignWord(signs, s2)
-    k = np.random.randint(0, 2 * len(signs))
+    k = int(np.random.default_rng(seed).integers(0, 2 * len(signs)))
     r = w.rotated(k)
     for n in range(-5, 3 * len(signs)):
         assert r.c(n) == w.c(n + k)

@@ -14,9 +14,7 @@ from hopsign.spectra import (SpectrumCloud, _assert_inclusion, _m_ring_stack,
                              enumerate_words, pi_union, random_finite_sample,
                              random_periodic_sample, square_spectrum_check,
                              symmetry_check, ue_bound_check, unit_grid)
-
-seed = 17
-np.random.seed(seed)
+from hopsign.transfer import det_residual
 
 
 # ---------------------------------------------------------------- builders
@@ -133,7 +131,8 @@ def test_cloud_tags_and_len():
 def test_cloud_sort_is_generation_order_independent():
     a = SpectrumCloud(0.5)
     b = SpectrumCloud(0.5)
-    pts = np.random.normal(size=8) + 1j * np.random.normal(size=8)
+    rng = np.random.default_rng(17)
+    pts = rng.normal(size=8) + 1j * rng.normal(size=8)
     a.add(pts[:4], 0, 1.0, 4)
     a.add(pts[4:], 1, 1j, 4)
     b.add(pts[4:], 1, 1j, 4)
@@ -488,9 +487,30 @@ def test_pi_union_solves_one_word_per_reversal_pair(monkeypatch):
     assert pairs == 226 - 173
 
 
-def test_pi_union_symmetries():
-    res = symmetry_check(pi_union(3, 0.5, 64))
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_pi_union_symmetries(sigma):
+    # at sigma = 1 the chiral words have double eigenvalues that split by
+    # about sqrt(eps); the det residual stays at rounding level there
+    res = symmetry_check(pi_union(3, sigma, 64))
     assert res["ok"], res
+    assert max(res["rev_max"], res["flip_max"]) <= 1e-13
+
+
+def test_det_residual_flags_moved_eigenvalues_and_wrong_twists():
+    # a chiral word of odd period 7: its flip -c matches i spec(c) at twist
+    # k - NK/4, and k + NK/4 is another twist
+    c = 0.5 * np.array([-1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+    alphas = unit_grid(64)[:, None]
+    lam = eigvals_stack(_periodic_stack(c, alphas[:, 0]))
+    assert det_residual(c, alphas, lam).max() <= 1e-13
+    assert det_residual(-c, np.roll(alphas, 16 * 7, 0), 1j * lam).max() <= 1e-13
+    assert det_residual(-c, np.roll(alphas, -16 * 7, 0), 1j * lam).max() > 0.1
+    moved = lam.copy()
+    moved[5, 2] += 1e-7
+    res = det_residual(c, alphas, moved)
+    assert res[5, 2] > 1e-8  # symmetry_check's default tolerance
+    res[5, 2] = 0.0
+    assert res.max() <= 1e-13
 
 
 def test_single_word_symmetries():

@@ -5,12 +5,12 @@ import pytest
 
 from hopsign.seqcore import SignWord, c_iterate_word
 from hopsign.metrics import segment_distances
-from hopsign.transfer import (Classification, RegionParams, Transfer2x2,
+from hopsign.transfer import (DECAY_HORIZON, Classification, RegionParams,
                               classify, decay_check, hole_boundary_radius,
                               hole_clearance, paired_member, phi,
                               quadratic_roots, region_tests, region_tests_many,
                               required_decay_order, rho_curve, trace_det,
-                              transfer_matrix)
+                              transfer_product)
 
 seed = 3
 nwords = 20
@@ -27,41 +27,47 @@ for _ in range(nwords):
 
 # ---------------------------------------------------------------- matrices
 
-def test_transfer2x2_against_numpy():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        ta = Transfer2x2(*a.ravel())
-        tb = Transfer2x2(*b.ravel())
-        prod = ta @ tb
-        ref = a @ b
-        assert prod.a11 == pytest.approx(ref[0, 0])
-        assert prod.a12 == pytest.approx(ref[0, 1])
-        assert prod.a21 == pytest.approx(ref[1, 0])
-        assert prod.a22 == pytest.approx(ref[1, 1])
-        assert ta.trace() == pytest.approx(np.trace(a))
-        assert ta.det() == pytest.approx(np.linalg.det(a))
-
-
 def test_transfer_matrix_known_traces():
     # period 1: T = [[0,1],[-sigma,lam]]; period 2 all-plus: tr = lam^2 - 2 sigma
     z = 0.3 - 0.7j
-    t1 = transfer_matrix(SignWord((1,), 0.5), z)
-    assert (t1.a11, t1.a12, t1.a21, t1.a22) == (0.0, 1.0, -0.5, z)
-    td = trace_det(SignWord((1, 1), 0.5), z)
-    assert td.tau == pytest.approx(z * z - 1.0)
-    assert td.gamma == 0.25 and td.p == 2
+    t1, e1 = transfer_product(SignWord((1,), 0.5).cvals(), z)
+    assert t1.tolist() == [[0.0, 1.0], [-0.5, z]] and e1 == 0
+    tau, gamma = trace_det(SignWord((1, 1), 0.5), z)
+    assert tau == pytest.approx(z * z - 1.0)
+    assert gamma == 0.25
 
 
 @pytest.mark.parametrize("signs,sigma,lam", word_args)
 def test_det_from_signs_matches_matrix_det(signs, sigma, lam):
     word = SignWord(signs, sigma)
-    td = trace_det(word, lam)
-    mat = transfer_matrix(word, lam)
-    assert td.gamma == pytest.approx(np.prod(signs) * sigma ** len(signs))
-    assert mat.det() == pytest.approx(td.gamma, abs=1e-10)
-    assert td.tau == pytest.approx(mat.trace())
+    tau, gamma = trace_det(word, lam)
+    t, e = transfer_product(word.cvals(), lam)
+    assert gamma == pytest.approx(np.prod(signs) * sigma ** len(signs))
+    assert np.linalg.det(t) * 4.0 ** e == pytest.approx(gamma, abs=1e-10)
+    assert tau == pytest.approx(np.trace(t) * 2.0 ** e)
+
+
+def test_transfer_product_rescales_long_words():
+    # X^n for the constant word +sigma at lam = 3 grows like z1^n, z1 the
+    # larger root of z^2 - 3 z + sigma: far beyond the float range at n 4096
+    n, sigma, lam = 4096, 0.5, 3.0
+    z1 = (lam + np.sqrt(lam * lam - 4 * sigma)) / 2
+    t, e = transfer_product(np.full(n, sigma), lam)
+    assert np.all(np.isfinite(t)) and 0.5 <= np.abs(t).max() < 2 ** 32
+    assert np.log2(np.abs(np.trace(t))) + e == pytest.approx(n * np.log2(z1),
+                                                             rel=1e-12)
+
+
+def test_transfer_product_broadcasts():
+    rng = np.random.default_rng(12)
+    c = 0.5 * rng.choice([-1.0, 1.0], size=(3, 1, 40))
+    lam = rng.normal(size=4) + 1j * rng.normal(size=4)
+    t, e = transfer_product(c, lam)
+    assert t.shape == (3, 4, 2, 2) and e.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            tij, eij = transfer_product(c[i, 0], lam[j])
+            assert np.array_equal(t[i, j], tij) and e[i, j] == eij
 
 
 # ---------------------------------------------------------------- Phi, roots
@@ -295,6 +301,26 @@ def test_decay_check_growth_outside_the_disc():
 def test_decay_check_inside_the_disc():
     for lam in (0.4, -0.5j, 0.5 * np.exp(0.4j), 0.79):
         assert decay_check(lam, 0.5, 3)["decays"]
+
+
+def test_decay_check_array_matches_scalar_calls():
+    lams = np.array([[0.0, 0.4, -0.5j], [0.5 * np.exp(0.4j), 0.79, 1.2]])
+    res = decay_check(lams, 0.5, 3)
+    assert res["rate"].shape == res["decays"].shape == lams.shape
+    for idx, lam in np.ndenumerate(lams):
+        one = decay_check(lam, 0.5, 3)
+        assert (res["rates"][0][idx], res["rates"][1][idx]) == one["rates"]
+        assert res["rate"][idx] == one["rate"]
+        assert res["decays"][idx] == one["decays"]
+    assert res["decays"].tolist() == [[True] * 3, [True, True, False]]
+
+
+def test_decay_check_period_beyond_the_horizon():
+    # 2^12 = 4096 coefficients per period, more than the horizon: the
+    # recurrence takes the first DECAY_HORIZON of them, not an empty tiling
+    assert 2 ** 12 > DECAY_HORIZON
+    assert decay_check(0.0, 0.5, 12)["rate"] == pytest.approx(np.sqrt(0.5),
+                                                              abs=1e-12)
 
 
 def test_decay_check_validation():
