@@ -17,7 +17,7 @@ from .eigen import eigvals, eigvals_stack, sort_rows
 from .metrics import hausdorff, matching_distance, nn_distances
 from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
                       least_rotation, m_word, minimal_period, sign_pattern)
-from .transfer import det_residual
+from .transfer import RegionParams, det_residual
 
 # pi_union refuses periods above this: 2^N words per period N
 MAX_PERIOD = 14
@@ -190,8 +190,9 @@ def _assert_inclusion(points, sigma):
     pts = np.asarray(points, dtype=complex)
     mod = np.abs(pts)
     l1 = np.abs(pts.real) + np.abs(pts.imag)
-    bad = ((mod < 1.0 - sigma - 1e-9) | (mod > 1.0 + sigma + 1e-9)
-           | (l1 > np.sqrt(2.0 * (1.0 + sigma * sigma)) + 1e-9))
+    p = RegionParams(sigma)
+    bad = ((mod < p.annulus_inner - 1e-9) | (mod > p.annulus_outer + 1e-9)
+           | (l1 > p.diamond_bound + 1e-9))
     if bad.any():
         z = pts[bad][0]
         raise RuntimeError(
@@ -463,10 +464,9 @@ def ue_bound_check(lam, i_max):
     """Iterate u_{n+1} = lam u_n - c~_n u_{n-1} from (u_0, u_1) = (0, 1) and
     report max |u_i| over i <= i_max against the bound 1/(1 - |lam|).
 
-    lam may be a scalar or an array (all entries iterated in lockstep)."""
+    lam may have any shape (all entries iterated in lockstep); max_abs,
+    bound and ok have lam's shape, 0-d for a scalar lam."""
     lam = np.asarray(lam, dtype=complex)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
     if np.any(np.abs(lam) > 0.99):
         raise ValueError("|lam| must be <= 0.99")
     if not 1 <= i_max <= 10 ** 6:
@@ -479,11 +479,7 @@ def ue_bound_check(lam, i_max):
         prev, cur = cur, lam * cur - float(ct[n]) * prev
         np.maximum(top, np.abs(cur), out=top)
     bound = 1.0 / (1.0 - np.abs(lam))
-    ok = top <= bound + 1e-9
-    if scalar:
-        return {"max_abs": float(top[0]), "bound": float(bound[0]),
-                "ok": bool(ok[0])}
-    return {"max_abs": top, "bound": bound, "ok": ok}
+    return {"max_abs": top, "bound": bound, "ok": top <= bound + 1e-9}
 
 
 def symmetry_check(cloud, tol=1e-8):

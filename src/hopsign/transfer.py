@@ -13,10 +13,9 @@ condition is Phi(tau, gamma) = 1 with
 Phi < 1 marking the both-roots-inside region I and Phi > 1 the split region O.
 One array recurrence, transfer_product, computes every such product in
 floats: trace_det, classify, paired_member, det_residual and decay_check
-all call it.
+all call it, and each takes lam of any shape and answers in that shape.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -27,21 +26,6 @@ from .seqcore import c_tilde_array, check_sigma
 RESCALE_EVERY = 32  # factors between the rescalings of transfer_product
 DECAY_HORIZON = 2048  # steps of the decay_check recurrence
 HOLE_SAMPLES = 8192  # vertices of the hole_clearance boundary polyline
-
-
-class Classification:
-    """Pointwise label B (on the spectral curve), I (both multipliers
-    inside), or O (split), plus the multiplier magnitudes and Phi."""
-
-    def __init__(self, label, z1_abs, z2_abs, phi_value):
-        self.label = label
-        self.z1_abs = float(z1_abs)
-        self.z2_abs = float(z2_abs)
-        self.phi_value = float(phi_value)
-
-    def __repr__(self):
-        return (f"Classification({self.label}, |z1|={self.z1_abs:.6g}, "
-                f"|z2|={self.z2_abs:.6g}, Phi={self.phi_value:.6g})")
 
 
 def transfer_product(c, lam):
@@ -91,41 +75,34 @@ def det_residual(c, alpha, lam):
 
 
 def phi(tau, gamma):
-    """Phi(tau, gamma); requires -1 < gamma < 1."""
+    """Phi(tau, gamma) for tau of any shape; requires -1 < gamma < 1."""
     if not -1.0 < gamma < 1.0:
         raise ValueError(f"gamma = {gamma} outside (-1, 1)")
-    tau = complex(tau)
+    tau = np.asarray(tau, dtype=complex)
     return (tau.real / (1.0 + gamma)) ** 2 + (tau.imag / (1.0 - gamma)) ** 2
 
 
 def quadratic_roots(tau, gamma):
-    """Roots of z^2 - tau z + gamma with |z1| >= |z2|, the larger computed
-    by the cancellation-safe branch and the smaller as gamma / z1."""
-    tau = complex(tau)
-    disc = cmath.sqrt(tau * tau - 4.0 * gamma)
-    if (tau.conjugate() * disc).real < 0.0:
-        disc = -disc
-    z1 = 0.5 * (tau + disc)
-    if z1 == 0:  # tau = 0, gamma = 0
-        return 0j, 0j
-    return z1, gamma / z1
+    """Roots of z^2 - tau z + gamma with |z1| >= |z2| for tau of any shape,
+    the larger computed by the cancellation-safe branch and the smaller as
+    gamma / z1 (0 where z1 = 0, that is tau = gamma = 0)."""
+    tau = np.asarray(tau, dtype=complex)
+    disc = np.sqrt(tau * tau - 4.0 * gamma)
+    z1 = 0.5 * (tau + np.where((tau.conj() * disc).real < 0.0, -disc, disc))
+    return z1, np.divide(gamma, z1, out=np.zeros_like(z1), where=z1 != 0)
 
 
 def classify(word, lam, tol=1e-9):
-    """Classify lam for the word: B if |Phi - 1| <= tol, I if Phi < 1 - tol,
-    O if Phi > 1 + tol."""
+    """Classify lam of any shape for the word: label B if |Phi - 1| <= tol,
+    I if Phi < 1 - tol, O if Phi > 1 + tol.  Returns {"label", "z1_abs",
+    "z2_abs", "phi"}, each of lam's shape."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     tau, gamma = trace_det(word, lam)
     pv = phi(tau, gamma)
     z1, z2 = quadratic_roots(tau, gamma)
-    if abs(pv - 1.0) <= tol:
-        label = "B"
-    elif pv < 1.0:
-        label = "I"
-    else:
-        label = "O"
-    return Classification(label, abs(z1), abs(z2), pv)
+    label = np.where(abs(pv - 1.0) <= tol, "B", np.where(pv < 1.0, "I", "O"))
+    return {"label": label, "z1_abs": abs(z1), "z2_abs": abs(z2), "phi": pv}
 
 
 def rho_curve(n, branch, theta, sigma):
@@ -148,8 +125,7 @@ def rho_curve(n, branch, theta, sigma):
     pm = -1.0 if branch == "+" else 1.0
     s = sigma ** (2 ** n)
     r0 = (1.0 - s * s) / np.sqrt(1.0 + s * s + pm * 2.0 * s * np.cos(2.0 ** (n + 1) * theta))
-    out = r0 ** (1.0 / 2 ** n)
-    return float(out) if out.ndim == 0 else out
+    return r0 ** (1.0 / 2 ** n)
 
 
 class RegionParams:
@@ -212,12 +188,6 @@ def region_tests_many(lams, params):
     }
 
 
-def region_tests(lam, params):
-    """Region membership for a single point; see region_tests_many."""
-    many = region_tests_many([complex(lam)], params)
-    return {k: bool(v[0]) for k, v in many.items()}
-
-
 def hole_boundary_radius(theta, sigma):
     """Polar radius of the hole boundary: the pointwise minimum of the two
     ellipse radii rho_0^{+-}(theta, sigma)."""
@@ -261,16 +231,14 @@ def paired_member(word_c, tail_sign, lam, tol=1e-9):
     """Membership certificate for the operator that follows the periodic
     word on the right half-axis and the constant word tail_sign * sigma on
     the left: lam in closure(I_c) (label B or I) and lam outside the closed
-    tail ellipse guarantees lam is an eigenvalue.
-    """
+    tail ellipse (ellipse form > 0) guarantees lam is an eigenvalue.  On
+    that ellipse the tail has a unimodular multiplier, so no solution
+    decays to the left.  lam may have any shape."""
     if tail_sign not in ("+", "-"):
         raise ValueError("tail_sign must be '+' or '-'")
-    cls = classify(word_c, lam, tol)
-    if cls.label == "O":
-        return False
-    flags = region_tests(lam, RegionParams(word_c.sigma))
-    in_tail = flags["in_E_plus"] if tail_sign == "+" else flags["in_E_minus"]
-    return not in_tail
+    inside = classify(word_c, lam, tol)["label"] != "O"
+    f_plus, f_minus = ellipse_forms(lam, RegionParams(word_c.sigma))
+    return inside & ((f_plus if tail_sign == "+" else f_minus) > 0)
 
 
 def required_decay_order(sigma):
