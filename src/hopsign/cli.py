@@ -6,11 +6,12 @@ curve (iterate-word spectra against their closed-form curves), verify
 (built-in self checks, JSON report on stdout).
 
 Exit codes: 0 success, 1 verification failure (or I/O error), 2 invalid
-configuration, 3 eigensolver failure.
+configuration, 3 eigensolver failure or inclusion-bound violation.
 """
 
 import argparse
 import json
+import os
 import shlex
 import sys
 import time
@@ -29,9 +30,9 @@ from .transfer import (RegionParams, decay_check, hole_clearance,
                        region_tests_many, rho_curve)
 
 
-def _emit(cloud, args, default_overlays="", tag=None):
-    """Write the CSV and/or SVG outputs a subcommand was asked for, under
-    tagged names when tag is given."""
+def _emit(cloud, args, default_overlays="", tag=None, figure=None):
+    """Write the CSV and/or SVG a subcommand asked for, named by tag when
+    given; figure(cloud, overlays) draws the SVG, cloud_figure by default."""
     out_csv, out_svg = (_derived_path(p, tag)
                         for p in (args.out_csv, args.out_svg))
     if out_csv:
@@ -39,25 +40,23 @@ def _emit(cloud, args, default_overlays="", tag=None):
         print(f"wrote {out_csv}")
     if out_svg:
         overlay = args.overlay if args.overlay is not None else default_overlays
-        fig = cloud_figure(cloud, overlays=overlay)
+        fig = (figure or cloud_figure)(cloud, overlay)
         fig.write(out_svg, command=args.command_line)
         print(f"wrote {out_svg}")
 
 
 def _derived_path(path, tag):
-    """name.ext -> name.tag.ext; path unchanged when it or tag is empty"""
+    """dir/name.ext -> dir/name.tag.ext; unchanged when path or tag is empty"""
     if not (path and tag):
         return path
-    stem, dot, ext = path.rpartition(".")
-    return f"{stem}.{tag}.{ext}" if dot else f"{path}.{tag}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.{tag}{ext}"
 
 
 def cmd_pi_union(args):
     cloud = pi_union(args.nmax, args.sigma, args.alpha_count)
     pts = cloud.points
-    params = RegionParams(args.sigma)
-    flags = region_tests_many(pts, params)
-    n_in = int(flags["in_H"].sum())
+    n_in = int(region_tests_many(pts, RegionParams(args.sigma))["in_H"].sum())
     print(f"pi-union: sigma={args.sigma:g} n_max={args.nmax} "
           f"alpha_count={args.alpha_count}: {len(cloud)} points")
     print(f"points inside the central hole: {n_in}")
@@ -89,9 +88,8 @@ def cmd_sample(args):
 
 
 def cmd_finite(args):
-    kw = dict(p_sigma=args.p_sigma, sigma=args.sigma, seed=args.seed)
-    open_cloud = random_finite_sample(args.nmax, periodic=False, **kw)
-    per_cloud = random_finite_sample(args.nmax, periodic=True, **kw)
+    open_cloud, per_cloud = random_finite_sample(args.nmax, args.p_sigma,
+                                                 args.sigma, args.seed)
     op, pp = open_cloud.points, per_cloud.points
     l1 = np.abs(op.real) + np.abs(op.imag)
     print(f"finite: N={args.nmax}, sigma={args.sigma:g}, "
@@ -105,11 +103,11 @@ def cmd_finite(args):
     return 0
 
 
-def _curve_samples(n, branch, sigma, count=4096):
+def _curve_samples(n, branch, sigma):
     """Dense polyline of the closed-form spectrum: the smooth rho curve for
     sigma < 1, the star segments (each as a 2-point piece) at sigma = 1."""
     if sigma < 1.0:
-        th = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        th = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         return [rho_curve(n, branch, th, sigma) * np.exp(1j * th)]
     starts, ends = closed_form_star(n, branch)
     return [np.array([a, b]) for a, b in zip(starts, ends)]
@@ -135,40 +133,29 @@ def cmd_curve(args):
         word = c_iterate_word(n, br, args.sigma)
         tag = {"+": "plus", "-": "minus"}[br] if len(branches) > 1 else None
         pieces = _curve_samples(n, br, args.sigma)
-        cloud = None
-        if args.mode in ("bloch", "both"):
+        if args.mode == "closed-form":  # the CSV holds the curve samples
+            cloud = SpectrumCloud(args.sigma, params={
+                "mode": "closed-form", "curve_n": n, "branch": br})
+            cloud.register_word(0, sign_pattern(word.signs))
+            cloud.add(np.array(pieces), 0, 1.0, 0)
+        else:
             cloud = bloch_spectrum(word, args.alpha_count)
             cloud.params.update(curve_n=n, branch=br)
         if args.mode == "both":
             dev = _curve_deviation(cloud.points, n, br, args.sigma)
             print(f"curve n={n} branch={br}: max deviation of "
                   f"{len(cloud)} eigenvalues from the closed form: {dev:.6g}")
-        out_csv, out_svg = (_derived_path(p, tag)
-                            for p in (args.out_csv, args.out_svg))
-        if out_csv:
-            if cloud is not None:
-                cloud.write_csv(out_csv, command=args.command_line)
-            else:
-                crv = SpectrumCloud(args.sigma,
-                                    params={"mode": "closed-form",
-                                            "curve_n": n, "branch": br})
-                crv.register_word(0, sign_pattern(word.signs))
-                crv.add(np.array(pieces), 0, 1.0, 0)
-                crv.write_csv(out_csv, command=args.command_line)
-            print(f"wrote {out_csv}")
-        if out_svg:
-            if cloud is not None:
-                fig = cloud_figure(cloud, overlays=args.overlay or "")
-            else:
-                fig = cloud_figure(
-                    SpectrumCloud(args.sigma), overlays=args.overlay or "",
-                    xmax=1.08 * max(float(np.abs(p).max()) for p in pieces))
-            if args.mode in ("closed-form", "both"):
-                for piece in pieces:
-                    fig.add_polyline(piece, color="#c62828", width=1.5,
-                                     closed=args.sigma < 1.0)
-            fig.write(out_svg, command=args.command_line)
-            print(f"wrote {out_svg}")
+
+        def figure(cloud, overlays, xmax=None):
+            if args.mode == "closed-form":  # no points, framed to the curve
+                xmax = 1.08 * float(np.abs(cloud.points).max())
+                cloud = SpectrumCloud(args.sigma)
+            fig = cloud_figure(cloud, overlays, xmax)
+            for piece in pieces if args.mode != "bloch" else ():
+                fig.add_polyline(piece, color="#c62828", width=1.5,
+                                 closed=args.sigma < 1.0)
+            return fig
+        _emit(cloud, args, tag=tag, figure=figure)
     return 0
 
 

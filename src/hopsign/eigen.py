@@ -22,8 +22,8 @@ ROOT_TOL = 1e-13
 KFOLD_NOISE = 2.0
 
 
-class SolverFailure(Exception):
-    """LAPACK's eigenvalue iteration did not converge."""
+class SolverFailure(RuntimeError):
+    """LAPACK did not converge, or its eigenvalues broke an inclusion bound."""
 
 
 def _square(m):

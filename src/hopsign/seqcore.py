@@ -310,6 +310,7 @@ def m_word(b, sigma=None):
 # which follows from c~_{2n} = c~_{2n-1} c~_n = -c~_{2n-2} c~_n.
 _ct_lock = threading.Lock()
 _ct_cache = np.array([0, 1, 1, -1], dtype=np.int8)  # index 0 unused
+_ct_cache.flags.writeable = False
 
 
 def c_tilde_array(nmax):
@@ -330,6 +331,7 @@ def c_tilde_array(nmax):
                 new[2 * n] = even
                 new[2 * n + 1] = -even
                 arr = new
+            arr.flags.writeable = False
             _ct_cache = arr
     return _ct_cache[:nmax + 1]
 

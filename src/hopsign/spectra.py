@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .eigen import eigvals, eigvals_stack, sort_rows
+from .eigen import SolverFailure, eigvals, eigvals_stack, sort_rows
 from .metrics import hausdorff, matching_distance, nn_distances
 from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
                       least_rotation, m_word, minimal_period, sign_pattern)
@@ -167,6 +167,14 @@ def _periodic_stack(c, alphas, diag=0.0):
     return stack
 
 
+def _periodic_spectra(c, alphas):
+    """Sorted (B, N) spectra of _periodic_stack(c, alphas), checked by
+    _assert_inclusion at sigma = max |c|: the one periodised-section solve."""
+    eig = eigvals_stack(_periodic_stack(c, alphas))
+    _assert_inclusion(eig, float(np.abs(c).max()))
+    return eig
+
+
 def unit_grid(count):
     """count uniformly spaced twists on the unit circle, starting at 1.
 
@@ -195,12 +203,12 @@ def _assert_inclusion(points, sigma):
            | (l1 > p.diamond_bound + 1e-9))
     if bad.any():
         z = pts[bad][0]
-        raise RuntimeError(
+        raise SolverFailure(
             f"eigenvalue {z} violates the periodic inclusion bounds at "
             f"sigma={sigma}; solver output is not trustworthy")
 
 
-def closed_form_star(m, branch, sigma=1.0):
+def closed_form_star(m, branch):
     """Exact spectrum of the m-th iterate word at sigma = 1: the union of
     2^(m+1) segments from the origin, length 2^(1/2^m), along the angles
     pi j / 2^m ('+' branch) or rotated by pi / 2^(m+1) ('-' branch).
@@ -208,8 +216,6 @@ def closed_form_star(m, branch, sigma=1.0):
     Returns (starts, ends) arrays describing the segments."""
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    if sigma != 1.0:
-        raise ValueError("closed-form star spectra exist only at sigma = 1")
     if m < 0:
         raise ValueError("m must be >= 0")
     radius = 2.0 ** (1.0 / 2 ** m)
@@ -227,7 +233,7 @@ def _bloch_word(word):
     return word
 
 
-def _orbit_spectra(cs, alpha_count, sigma):
+def _orbit_spectra(cs, alpha_count):
     """(W, K, N) sorted spectra of the periodised sections of the W rows
     of c (W, N) at the K = alpha_count twists of unit_grid, one solve per
     orbit of the nodes (w, k) under rev^a flip^b conj^c.  rev (J A^T J is the
@@ -257,9 +263,8 @@ def _orbit_spectra(cs, alpha_count, sigma):
             rep[better], how[better] = img[better], e // 2  # pick one (b, c)
     solved = np.flatnonzero(rep == node)
     out = np.empty((size, n), dtype=complex)  # before the solve's temporaries
-    eig = eigvals_stack(_periodic_stack(cs[solved // alpha_count], unit_grid(
-        alpha_count)[solved % alpha_count]))
-    _assert_inclusion(eig, sigma)
+    eig = _periodic_spectra(cs[solved // alpha_count],
+                            unit_grid(alpha_count)[solved % alpha_count])
     src = np.cumsum(rep == node)[rep] - 1  # rep's row in eig
     for t in np.flatnonzero(np.bincount(how)):  # lam = conj^c (i^-b lam_rep)
         b, c = divmod(t, 2)  # t = 2 b + c
@@ -276,7 +281,7 @@ def bloch_spectrum(word, alpha_count):
     w = _bloch_word(word)
     cloud = SpectrumCloud(word.sigma, params={"alpha_count": alpha_count})
     cloud.register_word(0, sign_pattern(word.signs))
-    eig = _orbit_spectra([w.cvals()], alpha_count, word.sigma)
+    eig = _orbit_spectra([w.cvals()], alpha_count)
     cloud.add(eig[0], 0, unit_grid(alpha_count), w.period)
     return cloud
 
@@ -316,14 +321,10 @@ def pi_union(n_max, sigma, alpha_count):
         c = _bloch_word(word).cvals()
         by_size.setdefault(len(c), []).append((wid, c))
     points = alpha_count * sum(n * len(group) for n, group in by_size.items())
-    free = _available_memory()
-    if free is not None and points * BYTES_PER_POINT > free:
-        raise ValueError(f"{points} points need about "
-                         f"{points * BYTES_PER_POINT / 2**20:.0f} MB, but "
-                         f"only {free / 2**20:.0f} MB is available")
+    _require_memory(points * BYTES_PER_POINT, f"{points} points")
     for size in sorted(by_size):
         wids, cs = zip(*by_size[size])
-        eig = _orbit_spectra(cs, alpha_count, sigma)
+        eig = _orbit_spectra(cs, alpha_count)
         cloud.add(eig.reshape(-1, size), np.repeat(wids, alpha_count),
                   np.tile(unit_grid(alpha_count), len(wids)), size)
     return cloud.sort()
@@ -337,6 +338,16 @@ def _available_memory():
         return int(fields["MemAvailable"].split()[0]) * 1024
     except (OSError, KeyError, ValueError, IndexError):
         return None
+
+
+def _require_memory(nbytes, what):
+    """ValueError when nbytes for `what` exceed the available memory.  A
+    solve of B sections of size N takes 16 (B + 1) N^2 bytes: the complex
+    stack, and LAPACK's copy of one section."""
+    free = _available_memory()
+    if free is not None and nbytes > free:
+        raise ValueError(f"{what} would take {nbytes / 2**20:.0f} MB, but "
+                         f"only {free / 2**20:.0f} MB is available")
 
 
 def _generator(seed, *key_words):
@@ -357,7 +368,8 @@ def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
                            seed=0):
     """count independent draws: N in n_range with weight 1/N (small sizes
     favored), signs +sigma with probability p_sigma, twist alpha uniform on
-    the circle; eigenvalues of the periodised sections."""
+    the circle; eigenvalues of the periodised sections.  ValueError before
+    any solve when the largest same-size stack would not fit in memory."""
     sigma = check_sigma(sigma)
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -380,38 +392,36 @@ def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
         alpha = complex(np.exp(2j * np.pi * g.random()))
         cloud.register_word(k, sign_pattern(signs))
         by_size.setdefault(n, []).append((k, sigma * signs, alpha))
+    _require_memory(max(16 * (len(b) + 1) * n * n for n, b in by_size.items()),
+                    "the largest stack of sections")
     for size in sorted(by_size):
         ks, cs, alphas = zip(*by_size[size])
-        eig = eigvals_stack(_periodic_stack(cs, alphas))
-        _assert_inclusion(eig, sigma)
-        cloud.add(eig, ks, alphas, size)
+        cloud.add(_periodic_spectra(cs, alphas), ks, alphas, size)
     return cloud
 
 
-def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0, periodic=False):
-    """One realization of an i.i.d. sign vector of length n; the open and
-    the periodised sections of the same draw share the c vector (the stream
-    key depends only on (seed, n, p_sigma))."""
+def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0):
+    """(open, periodised) clouds of one draw c of n i.i.d. signs keyed by
+    (seed, n, p_sigma): the open section on c_1..c_{n-1} and the periodised
+    one at a uniform twist.  ValueError before the draw if they cannot fit."""
     sigma = check_sigma(sigma)
     if n < 3:
         raise ValueError("need n >= 3")
     if not 0.0 < p_sigma < 1.0:
         raise ValueError("p_sigma must be in (0, 1)")
+    _require_memory(32 * n * n, f"sections of size {n}")
     g = _generator(seed, 13, n, int(round(p_sigma * 10 ** 9)))
     c = sigma * np.where(g.random(n) < p_sigma, 1.0, -1.0)
-    if periodic:
-        alpha = complex(np.exp(2j * np.pi * g.random()))
-        vals = eigvals(build_periodic(c, alpha))
-        _assert_inclusion(vals, sigma)
-    else:
-        alpha = 1.0
-        vals = eigvals(build_finite(c[:-1]))
-    cloud = SpectrumCloud(sigma, seed=seed,
-                          params={"n": n, "p_sigma": p_sigma,
-                                  "periodic": periodic})
-    cloud.register_word(0, sign_pattern(c))
-    cloud.add(vals, 0, alpha, n)
-    return cloud
+    alpha = complex(np.exp(2j * np.pi * g.random()))
+    clouds = []
+    for per, twist, vals in ((False, 1.0, eigvals(build_finite(c[:-1]))),
+                             (True, alpha, _periodic_spectra(c, [alpha])[0])):
+        cloud = SpectrumCloud(sigma, seed=seed, params={
+            "n": n, "p_sigma": p_sigma, "periodic": per})
+        cloud.register_word(0, sign_pattern(c))
+        cloud.add(vals, 0, twist, n)
+        clouds.append(cloud)
+    return tuple(clouds)
 
 
 def _m_ring_stack(mw, alphas):
@@ -436,18 +446,14 @@ def square_spectrum_check(b, alpha_count):
     if b.period > 8:
         raise ValueError("desk-scale check: word period must be <= 8")
     bw = b.repeated(2) if b.period == 1 else b
-    nb = bw.period
     c_red = gamma_plus_word(bw)
-    c_cover = c_red.repeated(4 * nb // c_red.period)
+    c_cover = c_red.repeated(4 * bw.period // c_red.period)
     b_cover = bw.repeated(2)
     mw = m_word(bw)
     alphas = unit_grid(alpha_count)
 
-    ec = eigvals_stack(_periodic_stack(c_cover.cvals(), alphas))
-    _assert_inclusion(ec, c_red.sigma)
-    sq = ec ** 2
-    eb = eigvals_stack(_periodic_stack(b_cover.cvals(), alphas))
-    _assert_inclusion(eb, bw.sigma)
+    sq = _periodic_spectra(c_cover.cvals(), alphas) ** 2
+    eb = _periodic_spectra(b_cover.cvals(), alphas)
     em = eigvals_stack(_m_ring_stack(mw, alphas))
 
     per_alpha = max(map(matching_distance, sq, np.concatenate([eb, em], 1)))
@@ -499,7 +505,7 @@ def symmetry_check(cloud, tol=1e-8):
     for w in enumerate_words(7, cloud.sigma):
         if least_rotation(w.signs[::-1]) > w.signs:
             c, n = np.array(w.cvals()), w.period
-            lam = eigvals_stack(_periodic_stack(c, alphas[:, 0]))
+            lam = _periodic_spectra(c, alphas[:, 0])
             res = [float(det_residual(word, np.roll(alphas, shift, 0), z).max())
                    for word, shift, z in ((c[::-1], 0, lam),
                                           (-c, 16 * n, 1j * lam),

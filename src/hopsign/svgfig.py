@@ -82,7 +82,7 @@ class SvgFigure:
                              f'font-size="11" text-anchor="end" fill="#666">'
                              f'{t:g}</text>')
 
-    def write(self, path, command=None, title=None):
+    def write(self, path, command=None):
         with open(path, "w") as f:
             f.write('<?xml version="1.0" encoding="UTF-8"?>\n')
             f.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -98,9 +98,6 @@ class SvgFigure:
                     f'width="{self.size - 2 * self.margin}" '
                     f'height="{self.size - 2 * self.margin}" fill="none" '
                     f'stroke="#888"/>\n')
-            if title:
-                f.write(f'<text x="{self.size / 2}" y="28" font-size="15" '
-                        f'text-anchor="middle">{title}</text>\n')
             for el in self.body:
                 f.write(el + "\n")
             f.write("</svg>\n")

@@ -170,8 +170,8 @@ def test_criterion_06_random_sections_in_bounds():
     l1 = np.abs(pts.real) + np.abs(pts.imag)
     annulus_ok = bool(mod.min() >= 0.5 - slack and mod.max() <= 1.5 + slack)
     diamond_ok = bool(l1.max() <= np.sqrt(2.5) + slack)
-    open_cloud = random_finite_sample(500, p_sigma=0.5, sigma=0.9025, seed=1,
-                                     periodic=False)
+    open_cloud, _ = random_finite_sample(500, p_sigma=0.5, sigma=0.9025,
+                                        seed=1)
     op = open_cloud.points
     l1_open = float((np.abs(op.real) + np.abs(op.imag)).max())
     open_ok = l1_open <= 1.9 + slack

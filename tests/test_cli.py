@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 
 from hopsign import spectra
 from hopsign.cli import _derived_path, main
+from hopsign.eigen import SolverFailure
+from hopsign.seqcore import SignWord
+from hopsign.spectra import (bloch_spectrum, pi_union, random_finite_sample,
+                             random_periodic_sample, square_spectrum_check,
+                             symmetry_check)
 
 
 def test_derived_path():
     assert _derived_path("out.csv", "open") == "out.open.csv"
     assert _derived_path("noext", "plus") == "noext.plus"
     assert _derived_path("a.b.csv", "x") == "a.b.x.csv"
+    assert _derived_path("./f", "open") == "./f.open"
+    assert _derived_path("runs/v1.2/f", "open") == "runs/v1.2/f.open"
 
 
 def test_verify_passes_and_reports_json(capsys):
@@ -192,6 +199,51 @@ def test_pi_union_too_big_for_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "available" in err and "Traceback" not in err
     assert not csv.exists()
+
+
+def test_finite_too_big_for_memory_exits_2(monkeypatch, capsys):
+    # a 10^6 x 10^6 complex section takes 14.6 TiB: refused before the draw,
+    # so no section is built
+    def no_section(*args):
+        raise AssertionError("a section was built")
+
+    monkeypatch.setattr(spectra, "_band", no_section)
+    monkeypatch.setattr(spectra, "_available_memory", lambda: 2 ** 33)
+    rc = main(["finite", "--nmax", "1000000", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid configur")
+    assert "sections of size 1000000" in err and "available" in err
+
+
+def test_inclusion_violation_raises_solver_failure_and_exits_3(monkeypatch,
+                                                                capsys):
+    # one eigenvalue moved by 5 leaves the annulus; every periodised solve
+    # checks its output, so each entry point raises SolverFailure
+    cloud = pi_union(2, 0.5, 8)
+    real_solver = spectra.eigvals_stack
+
+    def moved(stack):
+        w = real_solver(stack)
+        w[0, 0] += 5
+        return w
+
+    monkeypatch.setattr(spectra, "eigvals_stack", moved)
+    for call in (lambda: pi_union(3, 0.5, 4),
+                 lambda: bloch_spectrum(SignWord((1, -1, -1), 0.5), 8),
+                 lambda: random_periodic_sample(5, (3, 8), seed=1),
+                 lambda: random_finite_sample(8, seed=1),
+                 lambda: square_spectrum_check(SignWord((1, -1), 0.25), 8),
+                 lambda: symmetry_check(cloud)):
+        with pytest.raises(SolverFailure, match="inclusion bounds"):
+            call()
+    rc = main(["pi-union", "--nmax", "3", "--alpha-count", "4"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "inclusion bounds" in lines[0] and "Traceback" not in err
 
 
 # ---------------------------------------------------------------- fuzz

@@ -189,10 +189,13 @@ def test_verify_identities_catches_corrupted_cache():
     # flip one sign in the shared c-tilde cache; the exact checks must fail
     arr = seqcore.c_tilde_array(8)
     assert arr[3] == -1
+    saved = seqcore._ct_cache  # read-only, so swap in a corrupted copy
+    bad = saved.copy()
+    bad[3] = 1
     try:
-        seqcore._ct_cache[3] = 1
+        seqcore._ct_cache = bad
         rep = verify_identities(2)
         assert any(not row["ok"] for row in rep)
     finally:
-        seqcore._ct_cache[3] = -1
+        seqcore._ct_cache = saved
     assert all(row["ok"] for row in verify_identities(2))

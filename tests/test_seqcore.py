@@ -260,6 +260,13 @@ def test_c_tilde_against_naive_recursion():
     assert list(arr[1:]) == naive[1:]
 
 
+def test_c_tilde_array_is_read_only():
+    for nmax in (3, 8, 5000):  # a view of the cache, before and after growth
+        with pytest.raises(ValueError):
+            c_tilde_array(nmax)[3] = 5
+    assert c_tilde(3) == -1
+
+
 def test_c_tilde_validation():
     with pytest.raises(ValueError):
         c_tilde(0)

@@ -232,8 +232,6 @@ def test_closed_form_star_values():
     with pytest.raises(ValueError):
         closed_form_star(0, "x")
     with pytest.raises(ValueError):
-        closed_form_star(0, "+", sigma=0.5)
-    with pytest.raises(ValueError):
         closed_form_star(-1, "+")
 
 
@@ -563,6 +561,21 @@ def test_random_periodic_sample_validation():
             random_periodic_sample(2, (3, 8), 0.5, 0.5, seed=seed)
 
 
+def test_samplers_refuse_sections_beyond_memory(monkeypatch):
+    # a solve of B sections of size N takes 16 (B + 1) N^2 bytes, and a
+    # size's B is its point count over N
+    args = (40, (3, 12), 0.5, 0.5, 3)
+    n, points = np.unique(random_periodic_sample(*args).N, return_counts=True)
+    for need, call in ((int((16 * (points + n) * n).max()),
+                        lambda: random_periodic_sample(*args)),
+                       (32 * 9 ** 2, lambda: random_finite_sample(9))):
+        monkeypatch.setattr(spectra, "_available_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match="available"):
+            call()
+        monkeypatch.setattr(spectra, "_available_memory", lambda: need)
+        call()
+
+
 def test_seeds_above_2_63_give_distinct_streams():
     # a key word >= 2^63 must not pass through float64, where 2^63 and
     # 2^63 + 1 round to the same value
@@ -572,8 +585,9 @@ def test_seeds_above_2_63_give_distinct_streams():
 
 
 def test_random_finite_sample_shares_the_draw():
-    op = random_finite_sample(12, 0.5, 0.5, seed=9, periodic=False)
-    pe = random_finite_sample(12, 0.5, 0.5, seed=9, periodic=True)
+    op, pe = random_finite_sample(12, 0.5, 0.5, seed=9)
+    assert dict(op.params, periodic=True) == pe.params
+    assert not op.params["periodic"]
     assert op.words[0] == pe.words[0]
     assert op.N[0] == pe.N[0] == 12
     assert op.alpha[0] == 1.0 and abs(abs(pe.alpha[0]) - 1.0) < 1e-12
