@@ -137,7 +137,7 @@ def cmd_curve(args):
             cloud = SpectrumCloud(args.sigma, params={
                 "mode": "closed-form", "curve_n": n, "branch": br})
             cloud.register_word(0, sign_pattern(word.signs))
-            cloud.add(np.array(pieces), 0, 1.0, 0)
+            cloud.add(np.array(pieces), 0, 0, 0)
         else:
             cloud = bloch_spectrum(word, args.alpha_count)
             cloud.params.update(curve_n=n, branch=br)

@@ -53,21 +53,6 @@ def poly_mul(a, b):
     return poly_norm(res)
 
 
-def poly_shift(p, by):
-    """Multiply by lambda^by."""
-    if not p:
-        return []
-    return [0] * by + list(p)
-
-
-def poly_eval(p, z):
-    """Horner evaluation at a complex point."""
-    acc = 0j
-    for cc in reversed(p):
-        acc = acc * z + cc
-    return acc
-
-
 def monomial(k, coeff=1):
     return poly_norm([0] * k + [coeff])
 

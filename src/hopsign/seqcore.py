@@ -95,10 +95,6 @@ class SignWord:
         k %= n
         return SignWord(self.signs[k:] + self.signs[:k], self.sigma)
 
-    def canonical(self):
-        """Lexicographically least rotation; use only when deduplicating."""
-        return SignWord(least_rotation(self.signs), self.sigma)
-
     def repeated(self, times):
         return SignWord(self.signs * int(times), self.sigma)
 

@@ -25,44 +25,48 @@ MAX_PERIOD = 14
 CSV_CHUNK = 1024
 # pi_union refuses a cloud that would not fit in the available memory at this
 # many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV and
-# SVG output peaks at 285.2 MiB RSS, 79.6 MiB after import, for 2,058,240 points
-BYTES_PER_POINT = 105
+# SVG output peaks at 255.6 MiB RSS, 79.4 MiB after import, for 2,058,240 points
+BYTES_PER_POINT = 90
 
 
 class SpectrumCloud:
-    """A tagged point cloud: each eigenvalue keeps the word id, the twist
-    alpha, and the matrix size N it came from; the cloud keeps sigma, the
-    generation parameters, and the seed.
+    """A tagged point cloud: each eigenvalue keeps the word id, the twist,
+    and the matrix size N it came from; the cloud keeps sigma, its twist
+    table, the generation parameters, and the seed.
 
     Points are stored as the (B, n) blocks they were added in, each with one
-    (word_id, alpha, N) tag per row."""
+    (word_id, twist, N) tag per row; a twist tag is an index into the
+    read-only complex table `twists`."""
 
-    def __init__(self, sigma, params=None, seed=None):
+    def __init__(self, sigma, twists=(1.0,), params=None, seed=None):
         self.sigma = float(sigma)
+        self.twists = np.array(twists, dtype=complex).ravel()
+        self.twists.flags.writeable = False
         self.params = dict(params or {})
         self.seed = seed
         self.words = {}
-        self._blocks = []  # (points (B, n), word_id, alpha, N each (B, 1))
+        self._blocks = []  # (points (B, n), word_id, twist (int32), N)
 
     def register_word(self, word_id, pattern):
         self.words[int(word_id)] = pattern
 
-    def add(self, points, word_id, alpha, N):
+    def add(self, points, word_id, twist, N):
         """Append a (B, n) block of points, or one row of n; each tag is a
-        scalar shared by all rows or a sequence of B, one per row."""
+        scalar shared by all rows or a sequence of B, one per row, and twist
+        indexes the twist table."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
         if not np.all(np.isfinite(pts.view(float))):
             raise ValueError("non-finite spectrum points")
-
-        def per_row(tag, dtype):
-            col = np.array(tag, dtype=dtype).reshape(-1, 1)
-            return np.broadcast_to(col, (len(pts), 1))
-
-        self._blocks.append((pts, per_row(word_id, int),
-                             per_row(alpha, complex), per_row(N, int)))
+        word_id, twist, N = (
+            np.broadcast_to(np.array(tag, dtype=int).reshape(-1, 1),
+                            (len(pts), 1)) for tag in (word_id, twist, N))
+        if not np.all((twist >= 0) & (twist < len(self.twists))):
+            raise ValueError(f"twist index outside the table of "
+                             f"{len(self.twists)} twists")
+        self._blocks.append((pts, word_id, twist.astype(np.int32), N))
 
     def _column(self, k, dtype):
-        """Column k of the blocks (0 points, 1 word_id, 2 alpha, 3 N), one
+        """Column k of the blocks (0 points, 1 word_id, 2 twist, 3 N), one
         entry per point in insertion order; read-only, and a view of the
         stored column when the cloud holds one (B, 1) block, as after sort."""
         cols = [np.broadcast_to(blk[k], blk[0].shape).ravel()
@@ -73,18 +77,21 @@ class SpectrumCloud:
 
     points = property(lambda self: self._column(0, complex))
     word_id = property(lambda self: self._column(1, int))
-    alpha = property(lambda self: self._column(2, complex))
+    twist = property(lambda self: self._column(2, np.int32))
     N = property(lambda self: self._column(3, int))
+    alpha = property(lambda self: self.twists[self.twist])
 
     def __len__(self):
         return sum(blk[0].size for blk in self._blocks)
 
     def sort(self):
-        """Reorder all columns by (re, im, N, word_id, alpha); makes output
-        independent of generation order."""
-        cols = [self.points, self.word_id, self.alpha, self.N]
+        """Reorder all columns by (re, im, N, word_id, twist value); makes
+        output independent of generation order.  Equal twist values (0.0 and
+        -0.0 too) share a rank, so their rows keep insertion order."""
+        cols = [self.points, self.word_id, self.twist, self.N]
         self._blocks = []  # the columns hold the only copy from here on
-        order = np.lexsort((cols[2].imag, cols[2].real, cols[1], cols[3],
+        rank = np.unique(self.twists, return_inverse=True)[1].astype(np.int32)
+        order = np.lexsort((rank[cols[2]], cols[1], cols[3],
                             cols[0].imag, cols[0].real))
         for k in range(4):  # one reordered column alive at a time
             cols[k] = cols[k][order, None]
@@ -104,19 +111,15 @@ class SpectrumCloud:
             for wid in sorted(self.words):
                 f.write(f"# word {wid} {self.words[wid]}\n")
             f.write("# columns: re, im, N, word_id, alpha_re, alpha_im\n")
-            pts, wid, al, nn = self.points, self.word_id, self.alpha, self.N
+            tails = ["%.17g, %.17g\n" % (z.real, z.imag)
+                     for z in self.twists.tolist()]
+            pts, wid, tw, nn = self.points, self.word_id, self.twist, self.N
             for lo in range(0, len(pts), CSV_CHUNK):
-                # each distinct twist once, keyed by bytes: -0.0 != 0.0
                 part = slice(lo, lo + CSV_CHUNK)
-                _, first, inv = np.unique(al[part].view("V16"),
-                                          return_index=True,
-                                          return_inverse=True)
-                tails = ["%.17g, %.17g\n" % (z.real, z.imag)
-                         for z in al[part][first].tolist()]
+                tail = [tails[t] for t in tw[part].tolist()]
                 rows = zip(pts.real[part].tolist(), pts.imag[part].tolist(),
-                           nn[part].tolist(), wid[part].tolist(),
-                           map(tails.__getitem__, inv.tolist()))
-                f.write(("%.17g, %.17g, %d, %d, %s" * len(inv))
+                           nn[part].tolist(), wid[part].tolist(), tail)
+                f.write(("%.17g, %.17g, %d, %d, %s" * len(tail))
                         % tuple(chain.from_iterable(rows)))
 
 
@@ -278,11 +281,12 @@ def _orbit_spectra(cs, alpha_count):
 
 def bloch_spectrum(word, alpha_count):
     """Union of periodised-section spectra over the uniform alpha grid."""
+    cloud = SpectrumCloud(word.sigma, unit_grid(alpha_count),
+                          params={"alpha_count": alpha_count})
     w = _bloch_word(word)
-    cloud = SpectrumCloud(word.sigma, params={"alpha_count": alpha_count})
     cloud.register_word(0, sign_pattern(word.signs))
     eig = _orbit_spectra([w.cvals()], alpha_count)
-    cloud.add(eig[0], 0, unit_grid(alpha_count), w.period)
+    cloud.add(eig[0], 0, np.arange(alpha_count), w.period)
     return cloud
 
 
@@ -307,14 +311,15 @@ def pi_union(n_max, sigma, alpha_count):
     flips cost no solve.
     ValueError before any solve when the cloud, at BYTES_PER_POINT a point,
     would exceed the available memory."""
+    twists = unit_grid(alpha_count)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_PERIOD:
         raise ValueError(f"n_max = {n_max} exceeds the ceiling {MAX_PERIOD} "
                          f"(2^N words per period N)")
     words = enumerate_words(n_max, sigma)
-    cloud = SpectrumCloud(sigma, params={"n_max": n_max,
-                                         "alpha_count": alpha_count})
+    cloud = SpectrumCloud(sigma, twists, params={"n_max": n_max,
+                                                 "alpha_count": alpha_count})
     by_size = {}
     for wid, word in enumerate(words):
         cloud.register_word(wid, sign_pattern(word.signs))
@@ -326,7 +331,7 @@ def pi_union(n_max, sigma, alpha_count):
         wids, cs = zip(*by_size[size])
         eig = _orbit_spectra(cs, alpha_count)
         cloud.add(eig.reshape(-1, size), np.repeat(wids, alpha_count),
-                  np.tile(unit_grid(alpha_count), len(wids)), size)
+                  np.tile(np.arange(alpha_count), len(wids)), size)
     return cloud.sort()
 
 
@@ -381,22 +386,23 @@ def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
     sizes = np.arange(lo, hi + 1)
     cdf = np.cumsum(1.0 / sizes)
     cdf /= cdf[-1]
-    cloud = SpectrumCloud(sigma, seed=seed,
-                          params={"count": count, "n_lo": lo, "n_hi": hi,
-                                  "p_sigma": p_sigma})
-    by_size = {}
+    patterns, twists, by_size = [], [], {}
     for k in range(count):
         g = _generator(seed, 11, k)
         n = int(sizes[np.searchsorted(cdf, g.random())])
         signs = np.where(g.random(n) < p_sigma, 1.0, -1.0)
-        alpha = complex(np.exp(2j * np.pi * g.random()))
-        cloud.register_word(k, sign_pattern(signs))
-        by_size.setdefault(n, []).append((k, sigma * signs, alpha))
+        twists.append(np.exp(2j * np.pi * g.random()))
+        patterns.append(sign_pattern(signs))
+        by_size.setdefault(n, []).append((k, sigma * signs))
     _require_memory(max(16 * (len(b) + 1) * n * n for n, b in by_size.items()),
                     "the largest stack of sections")
+    cloud = SpectrumCloud(sigma, twists, seed=seed,
+                          params={"count": count, "n_lo": lo, "n_hi": hi,
+                                  "p_sigma": p_sigma})
+    cloud.words = dict(enumerate(patterns))
     for size in sorted(by_size):
-        ks, cs, alphas = zip(*by_size[size])
-        cloud.add(_periodic_spectra(cs, alphas), ks, alphas, size)
+        ks, cs = zip(*by_size[size])  # draw k's twist is table entry k
+        cloud.add(_periodic_spectra(cs, cloud.twists[list(ks)]), ks, ks, size)
     return cloud
 
 
@@ -413,13 +419,16 @@ def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0):
     g = _generator(seed, 13, n, int(round(p_sigma * 10 ** 9)))
     c = sigma * np.where(g.random(n) < p_sigma, 1.0, -1.0)
     alpha = complex(np.exp(2j * np.pi * g.random()))
+    # D^-1 A(c) D = sqrt(sigma) A(c / sigma) with D = diag(sigma^(j/2)):
+    # solve the well-conditioned sign section instead of the graded A(c)
+    open_vals = np.sqrt(sigma) * np.array(eigvals(build_finite(c[:-1] / sigma)))
     clouds = []
-    for per, twist, vals in ((False, 1.0, eigvals(build_finite(c[:-1]))),
+    for per, twist, vals in ((False, 1.0, open_vals),
                              (True, alpha, _periodic_spectra(c, [alpha])[0])):
-        cloud = SpectrumCloud(sigma, seed=seed, params={
+        cloud = SpectrumCloud(sigma, (twist,), seed=seed, params={
             "n": n, "p_sigma": p_sigma, "periodic": per})
         cloud.register_word(0, sign_pattern(c))
-        cloud.add(vals, 0, twist, n)
+        cloud.add(vals, 0, 0, n)
         clouds.append(cloud)
     return tuple(clouds)
 

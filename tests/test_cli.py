@@ -140,6 +140,8 @@ def _no_solve(*args, **kwargs):
     ["sample", "--seed=-1"],
     ["finite", "--seed", "1", "--sigma", "2"],
     ["finite", "--seed", "1", "--sigma", "nan"],
+    ["pi-union", "--nmax", "2", "--alpha-count", "-3"],
+    ["curve", "--nmax", "0", "--alpha-count", "-2"],
 ])
 def test_bad_sampler_input_exits_2_before_solving(argv, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigvals", _no_solve)
@@ -148,6 +150,8 @@ def test_bad_sampler_input_exits_2_before_solving(argv, monkeypatch, capsys):
     assert rc == 2
     assert "error: invalid configuration" in err
     assert "Traceback" not in err
+    if "--alpha-count" in argv:
+        assert "need at least one grid point" in err
 
 
 def test_solver_failure_exits_3(monkeypatch, capsys):

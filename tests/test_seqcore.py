@@ -4,7 +4,8 @@ import pytest
 from hopsign.seqcore import (DiagWord, SeqWindow, SignWord, c_iterate_word,
                              c_tilde, c_tilde_array, fixed_point_window,
                              gamma_minus_window, gamma_plus_window,
-                             gamma_plus_word, hat_inversion, m_word)
+                             gamma_plus_word, hat_inversion, least_rotation,
+                             m_word)
 
 seed = 42
 nwords = 25
@@ -53,8 +54,8 @@ def test_rotated_shifts_the_sequence(signs, s2):
 
 def test_canonical_is_least_rotation():
     w = SignWord((1, -1, 1, 1), 0.5)
-    assert w.canonical().signs == (-1, 1, 1, 1)
-    rots = [w.rotated(k).canonical() for k in range(4)]
+    assert least_rotation(w.signs) == (-1, 1, 1, 1)
+    rots = [least_rotation(w.rotated(k).signs) for k in range(4)]
     assert all(r == rots[0] for r in rots)
 
 

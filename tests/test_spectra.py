@@ -7,7 +7,8 @@ from hopsign import __version__, spectra
 from hopsign.eigen import eigvals, eigvals_stack
 from hopsign.metrics import (hausdorff, matching_distance, nn_distances,
                              segment_distances)
-from hopsign.seqcore import SignWord, c_iterate_word, m_word
+from hopsign.seqcore import (SignWord, c_iterate_word, least_rotation,
+                             m_word)
 from hopsign.spectra import (SpectrumCloud, _assert_inclusion, _m_ring_stack,
                              _periodic_stack, bloch_spectrum, build_finite,
                              build_periodic, closed_form_star,
@@ -103,40 +104,48 @@ def test_inclusion_guard_fires():
 # ---------------------------------------------------------------- clouds
 
 def test_cloud_tags_and_len():
-    c = SpectrumCloud(0.5)
-    c.add([1.0 + 0j, 2.0 + 0j], word_id=3, alpha=1j, N=4)
-    c.add([0.0 + 0j], word_id=1, alpha=1.0, N=2)
+    c = SpectrumCloud(0.5, twists=[1.0, 1j, -1.0, -1j])
+    assert c.twists.tolist() == [1.0, 1j, -1.0, -1j]
+    assert not c.twists.flags.writeable
+    c.add([1.0 + 0j, 2.0 + 0j], word_id=3, twist=1, N=4)
+    c.add([0.0 + 0j], word_id=1, twist=0, N=2)
     assert len(c) == 3
     assert list(c.word_id) == [3, 3, 1]
     assert list(c.N) == [4, 4, 2]
-    assert np.allclose(c.alpha, [1j, 1j, 1.0])
+    assert list(c.twist) == [1, 1, 0]
+    assert list(c.alpha) == [1j, 1j, 1.0]
     with pytest.raises(ValueError):
-        c.add([np.nan + 0j], 0, 1.0, 2)
+        c.add([np.nan + 0j], 0, 0, 2)
     # a (B, n) block with one tag per row, and one with shared tags
     block = np.arange(6).reshape(2, 3) + 0.5j
-    c.add(block, word_id=[7, 8], alpha=[1.0, -1j], N=[3, 5])
-    c.add(block, word_id=9, alpha=-1.0, N=3)
+    c.add(block, word_id=[7, 8], twist=[0, 3], N=[3, 5])
+    c.add(block, word_id=9, twist=2, N=3)
     assert len(c) == 15
     assert np.array_equal(c.points[3:], np.concatenate([block.ravel()] * 2))
     assert list(c.word_id[3:]) == [7] * 3 + [8] * 3 + [9] * 6
     assert list(c.N[3:]) == [3] * 3 + [5] * 3 + [3] * 6
+    assert list(c.twist[3:]) == [0] * 3 + [3] * 3 + [2] * 6
     assert list(c.alpha[3:]) == [1.0] * 3 + [-1j] * 3 + [-1.0] * 6
     with pytest.raises(ValueError):
-        c.add(block, word_id=[1, 2, 3], alpha=1.0, N=3)  # 3 tags, 2 rows
+        c.add(block, word_id=[1, 2, 3], twist=0, N=3)  # 3 tags, 2 rows
     with pytest.raises(ValueError):
-        c.add(np.array([[1.0, np.inf]]), [0], [1.0], [2])
+        c.add(np.array([[1.0, np.inf]]), [0], [0], [2])
+    for bad in (4, -1, [0, 4]):  # indices outside the table of 4
+        with pytest.raises(ValueError, match="twist index"):
+            c.add(block, 0, bad, 3)
     assert len(c) == 15
+    assert list(SpectrumCloud(0.5).twists) == [1.0]  # the default table
 
 
 def test_cloud_sort_is_generation_order_independent():
-    a = SpectrumCloud(0.5)
-    b = SpectrumCloud(0.5)
+    a = SpectrumCloud(0.5, twists=[1.0, 1j])
+    b = SpectrumCloud(0.5, twists=[1.0, 1j])
     rng = np.random.default_rng(17)
     pts = rng.normal(size=8) + 1j * rng.normal(size=8)
-    a.add(pts[:4], 0, 1.0, 4)
-    a.add(pts[4:], 1, 1j, 4)
-    b.add(pts[4:], 1, 1j, 4)
-    b.add(pts[:4], 0, 1.0, 4)
+    a.add(pts[:4], 0, 0, 4)
+    a.add(pts[4:], 1, 1, 4)
+    b.add(pts[4:], 1, 1, 4)
+    b.add(pts[:4], 0, 0, 4)
     a.sort()
     b.sort()
     assert np.array_equal(a.points, b.points)
@@ -147,7 +156,7 @@ def test_cloud_sort_is_generation_order_independent():
 def test_cloud_csv_header_and_determinism(tmp_path):
     c = SpectrumCloud(0.5, params={"alpha_count": 2}, seed=7)
     c.register_word(0, "+-")
-    c.add([0.25 + 0.5j], 0, 1.0, 2)
+    c.add([0.25 + 0.5j], 0, 0, 2)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     c.write_csv(p1, command="demo --x 1")
     c.write_csv(p2, command="demo --x 1")
@@ -166,12 +175,12 @@ def test_cloud_csv_header_and_determinism(tmp_path):
 def test_cloud_csv_golden(tmp_path):
     # edge values: signed zero, the smallest subnormal, 1/3, -1e300, a twist
     # with a negative imaginary part, word ids >= 10
-    c = SpectrumCloud(0.25, params={"n_max": 3, "alpha_count": 2}, seed=11)
+    c = SpectrumCloud(0.25, [complex(0.6, -0.8), -1j],
+                      params={"n_max": 3, "alpha_count": 2}, seed=11)
     c.register_word(12, "+-+")
     c.register_word(10, "-")
-    c.add([complex(-0.0, 5e-324), complex(1 / 3, -1e300)], 12,
-          complex(0.6, -0.8), 3)
-    c.add([complex(-1e300, -0.0)], 10, -1j, 4)
+    c.add([complex(-0.0, 5e-324), complex(1 / 3, -1e300)], 12, 0, 3)
+    c.add([complex(-1e300, -0.0)], 10, 1, 4)
     path = tmp_path / "g.csv"
     c.write_csv(path, command="hopsign pi-union --nmax 3")
     assert path.read_text() == f"# hopsign {__version__}\n" + (
@@ -195,8 +204,8 @@ def test_cloud_csv_rows_across_chunks(tmp_path):
     rng = np.random.default_rng(3)
     pts = rng.normal(size=2500) + 1j * rng.normal(size=2500)
     al = unit_grid(500)
-    c = SpectrumCloud(0.5)
-    c.add(pts.reshape(500, 5), np.arange(500), al, 5)
+    c = SpectrumCloud(0.5, al)
+    c.add(pts.reshape(500, 5), np.arange(500), np.arange(500), 5)
     c.write_csv(tmp_path / "c.csv")
     rows = (tmp_path / "c.csv").read_text().splitlines()[3:]
     assert rows == ["%.17g, %.17g, 5, %d, %.17g, %.17g" % (
@@ -209,13 +218,26 @@ def test_cloud_csv_signed_zero_twists(tmp_path, lead):
     # twists that differ only in the sign of a zero print their own digits,
     # inside one chunk (lead 0) and across the chunk boundary (lead 1022)
     twists = [1 + 0j, complex(1, -0.0), complex(-0.0, 1), complex(0.0, 1)]
-    al = [1j] * lead + twists * 2
-    c = SpectrumCloud(0.5)
-    c.add(np.ones((len(al), 1)), 0, al, 1)
+    tags = [4] * lead + [0, 1, 2, 3] * 2
+    c = SpectrumCloud(0.5, twists + [1j])
+    c.add(np.ones((len(tags), 1)), 0, tags, 1)
     c.write_csv(tmp_path / "z.csv")
     rows = (tmp_path / "z.csv").read_text().splitlines()[3:]
     assert [r.split(", ", 4)[4] for r in rows[lead:]] == [
         "1, 0", "1, -0", "-0, 1", "0, 1"] * 2
+    # sort ranks equal twist values alike, -0.0 and 0.0 included: rows equal
+    # in (re, im, N, word_id) keep insertion order and their own digits
+    for table, digits in (([1j, complex(-0.0, 1), complex(0.0, 1)],
+                           ["0, 1", "-0, 1", "0, 1"]),
+                          ([1 + 0j, complex(1, -0.0)], ["1, 0", "1, -0"])):
+        tags = [*range(len(table))] * 2
+        c = SpectrumCloud(0.5, table)
+        c.add(np.r_[2.0, np.ones(len(tags))][:, None], 0, [0] + tags, 1)
+        c.sort().write_csv(tmp_path / "s.csv")
+        rows = (tmp_path / "s.csv").read_text().splitlines()[3:]
+        assert list(c.twist) == tags + [0]
+        assert [r.split(", ", 4)[4] for r in rows] == [
+            digits[t] for t in tags + [0]]
 
 
 # ---------------------------------------------------------------- sigma = 1
@@ -412,7 +434,7 @@ def test_enumerate_words_counts_and_canonical_forms():
     per = {}
     for w in words:
         per[w.period] = per.get(w.period, 0) + 1
-        assert w.canonical().signs == w.signs
+        assert least_rotation(w.signs) == w.signs
         assert w.reduced()[1] == 1  # primitive
     assert [per[n] for n in range(1, 13)] == [necklace_count(n)
                                               for n in range(1, 13)]
@@ -582,6 +604,24 @@ def test_seeds_above_2_63_give_distinct_streams():
     a = random_periodic_sample(4, (3, 8), 0.5, 0.5, seed=2 ** 63)
     b = random_periodic_sample(4, (3, 8), 0.5, 0.5, seed=2 ** 63 + 1)
     assert a.words != b.words or not np.array_equal(a.points, b.points)
+
+
+def test_open_section_roots_pass_the_continuant_newton_check():
+    # open-section eigenvalues are the roots of the continuant f_N, with
+    # f_k = lam f_(k-1) - c_(k-1) f_(k-2), f_0 = 1, f_1 = lam; at N 500 and
+    # sigma 0.5 a direct solve of the graded section misses them by up to
+    # 1.3, so each root's Newton step |f| / |f'| must be at rounding level
+    op, _ = random_finite_sample(500, 0.5, 0.5, seed=1)
+    c = [0.5 if s == "+" else -0.5 for s in op.words[0][:-1]]
+    lam = op.points
+    f0, f1 = np.ones_like(lam), lam.copy()
+    d0, d1 = np.zeros_like(lam), np.ones_like(lam)  # d = df / dlam
+    for ck in c:
+        f0, f1, d0, d1 = f1, lam * f1 - ck * f0, d1, f1 + lam * d1 - ck * d0
+        scale = np.maximum(np.abs(f1), np.abs(d1))  # keeps f / d, no overflow
+        f0, f1, d0, d1 = f0 / scale, f1 / scale, d0 / scale, d1 / scale
+    assert len(lam) == 500
+    assert np.max(np.abs(f1) / np.abs(d1)) < 1e-12
 
 
 def test_random_finite_sample_shares_the_draw():

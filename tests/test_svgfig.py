@@ -64,7 +64,7 @@ def test_overlays_degenerate_at_sigma_one():
 
 def test_cloud_figure_scales_to_data(tmp_path):
     c = SpectrumCloud(0.5)
-    c.add([1.2 + 0.3j], 0, 1.0, 4)
+    c.add([1.2 + 0.3j], 0, 0, 4)
     fig = cloud_figure(c, overlays="annulus")
     assert fig.xmax == pytest.approx(1.08 * 1.5)
     fig.write(tmp_path / "cloud.svg")
