@@ -89,12 +89,6 @@ class SignWord:
             count = len(self.signs)
         return [self.c(n) for n in range(1, count + 1)]
 
-    def rotated(self, k):
-        """Word representing the shifted sequence n -> c_{n+k}."""
-        n = len(self.signs)
-        k %= n
-        return SignWord(self.signs[k:] + self.signs[:k], self.sigma)
-
     def repeated(self, times):
         return SignWord(self.signs * int(times), self.sigma)
 

@@ -27,6 +27,8 @@ CSV_CHUNK = 1024
 # many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV and
 # SVG output peaks at 255.6 MiB RSS, 79.4 MiB after import, for 2,058,240 points
 BYTES_PER_POINT = 90
+# _periodic_spectra solves an even-N section with a root below this whole
+ROOT_FLOOR = 1 / 16
 
 
 class SpectrumCloud:
@@ -172,8 +174,23 @@ def _periodic_stack(c, alphas, diag=0.0):
 
 def _periodic_spectra(c, alphas):
     """Sorted (B, N) spectra of _periodic_stack(c, alphas), checked by
-    _assert_inclusion at sigma = max |c|: the one periodised-section solve."""
-    eig = eigvals_stack(_periodic_stack(c, alphas))
+    _assert_inclusion at sigma = max |c|: the one periodised-section solve.
+    Even N is solved at half size: on the odd and even sites a zero-diagonal
+    section is A = [[0, B], [C, 0]], so spec A = +-sqrt(spec BC).  A root lam
+    carries a backward error of about eps ||A||^2 / |lam|, so a section with
+    a root below ROOT_FLOOR (sigma > 1 - ROOT_FLOOR only) is solved whole."""
+    s = _periodic_stack(c, alphas)
+    if s.shape[-1] % 2:
+        eig = eigvals_stack(s)
+    else:
+        s = s[:, 0::2, 1::2] @ s[:, 1::2, 0::2]  # frees the full stack
+        root = np.sqrt(eigvals_stack(s))
+        eig = sort_rows(np.concatenate([root, -root], axis=1))
+        near = np.abs(root).min(axis=1) < ROOT_FLOOR
+        if near.any():
+            rows = np.broadcast_to(np.asarray(c, float), eig.shape)[near]
+            eig[near] = eigvals_stack(
+                _periodic_stack(rows, np.ravel(alphas)[near]))
     _assert_inclusion(eig, float(np.abs(c).max()))
     return eig
 
@@ -347,8 +364,9 @@ def _available_memory():
 
 def _require_memory(nbytes, what):
     """ValueError when nbytes for `what` exceed the available memory.  A
-    solve of B sections of size N takes 16 (B + 1) N^2 bytes: the complex
-    stack, and LAPACK's copy of one section."""
+    solve of B sections of size N takes at most 20 (B + 1) N^2 bytes: the
+    complex stack and, for even N, its (B, N/2, N/2) sublattice product,
+    or for odd N LAPACK's copy of one section."""
     free = _available_memory()
     if free is not None and nbytes > free:
         raise ValueError(f"{what} would take {nbytes / 2**20:.0f} MB, but "
@@ -394,7 +412,7 @@ def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
         twists.append(np.exp(2j * np.pi * g.random()))
         patterns.append(sign_pattern(signs))
         by_size.setdefault(n, []).append((k, sigma * signs))
-    _require_memory(max(16 * (len(b) + 1) * n * n for n, b in by_size.items()),
+    _require_memory(max(20 * (len(b) + 1) * n * n for n, b in by_size.items()),
                     "the largest stack of sections")
     cloud = SpectrumCloud(sigma, twists, seed=seed,
                           params={"count": count, "n_lo": lo, "n_hi": hi,
@@ -415,7 +433,7 @@ def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0):
         raise ValueError("need n >= 3")
     if not 0.0 < p_sigma < 1.0:
         raise ValueError("p_sigma must be in (0, 1)")
-    _require_memory(32 * n * n, f"sections of size {n}")
+    _require_memory(40 * n * n, f"sections of size {n}")
     g = _generator(seed, 13, n, int(round(p_sigma * 10 ** 9)))
     c = sigma * np.where(g.random(n) < p_sigma, 1.0, -1.0)
     alpha = complex(np.exp(2j * np.pi * g.random()))
@@ -461,7 +479,10 @@ def square_spectrum_check(b, alpha_count):
     mw = m_word(bw)
     alphas = unit_grid(alpha_count)
 
-    sq = _periodic_spectra(c_cover.cvals(), alphas) ** 2
+    # solved whole: the half-size route rests on the identity checked here
+    sq = eigvals_stack(_periodic_stack(c_cover.cvals(), alphas))
+    _assert_inclusion(sq, c_cover.sigma)
+    sq = sq ** 2
     eb = _periodic_spectra(b_cover.cvals(), alphas)
     em = eigvals_stack(_m_ring_stack(mw, alphas))
 
