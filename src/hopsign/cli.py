@@ -127,7 +127,7 @@ def _curve_deviation(pts, n, branch, sigma):
 def cmd_curve(args):
     n = args.nmax
     if n > 8:
-        raise ValueError("curve index must be <= 8 (period 2^(n+2) explodes)")
+        raise ValueError("curve index must be <= 8 (period 2^(n+1) explodes)")
     branches = ["+", "-"] if args.branch == "both" else [args.branch]
     for br in branches:
         word = c_iterate_word(n, br, args.sigma)
@@ -323,7 +323,8 @@ def _build_parser():
     p = sub.add_parser("curve",
                        help="iterate-word spectra vs closed-form curves")
     p.add_argument("--nmax", type=int, default=0,
-                   help="curve index n (word period 2^(n+2), default 0)")
+                   help="curve index n (word period 2^(n+1) for n >= 2, "
+                        "default 0)")
     p.add_argument("--branch", choices=["+", "-", "both"], default="both")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--alpha-count", type=int, default=512)

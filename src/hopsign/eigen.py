@@ -256,7 +256,10 @@ def oracle_eigvals(m):
     each other (relative to the largest), and clusters that pass the k-fold
     root test, come back as their cluster mean repeated with its
     multiplicity.  Simple roots lie up to about 5e-8 from LAPACK's at n
-    14..16 (the coefficient noise floor), so compare at 1e-7 max(1, |lam|)."""
+    14..16 (the coefficient noise floor), so compare them at
+    1e-7 max(1, |lam|).  That bound holds for simple roots only: a
+    near-defective cluster of k roots that the k-fold test does not merge is
+    good only to about 10 (eps ||A||_2)^(1/k)."""
     a = _square(m).copy()
     n = a.shape[0]
     if n > 16:

@@ -15,7 +15,7 @@ whose transfer matrix is T_n = [[v_n, u_n], [v_{n+1}, u_{n+1}]] with
 trace tr(T_n) = u_{n+1} + v_n and det(T_n) = prod(c~_1 .. c~_n).
 """
 
-from itertools import chain, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -68,14 +68,9 @@ def uv_polys(n_max):
     u = [[], [1]]
     v = [[1], []]
     for n in range(1, n_max + 1):
-        cn = int(ct[n])
+        step = poly_sub if ct[n] == 1 else poly_add
         for seq in (u, v):
-            shifted = chain([0], seq[n])
-            if cn == 1:
-                nxt = [x - y for x, y in zip_longest(shifted, seq[n - 1], fillvalue=0)]
-            else:
-                nxt = [x + y for x, y in zip_longest(shifted, seq[n - 1], fillvalue=0)]
-            seq.append(poly_norm(nxt))
+            seq.append(step([0] + seq[n], seq[n - 1]))
     return u, v
 
 

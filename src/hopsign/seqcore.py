@@ -11,8 +11,8 @@ image c = Gamma_plus(b) is the unique sequence with amplitude sigma such that
     c_0 = sigma,   c_{2n} + c_{2n+1} = 0,   c_{2n} c_{2n-1} = b_n.
 
 Writing c_{2n} = sigma * s_n these relations reduce to pure sign arithmetic:
-s_0 = 1 and s_n = -sign(b_n) * s_{n-1}, which is what everything below
-iterates.  Gamma_minus is Gamma_plus conjugated by the space inversion
+s_0 = 1 and s_n = -sign(b_n) * s_{n-1}, which the one kernel _gamma_signs
+runs for every map below.  Gamma_minus is Gamma_plus conjugated by the space inversion
 b -> b^ with (b^)_n = b_{1-n}.
 
 The sequence c-tilde (c_tilde below) is defined for n >= 1 by c~_1 = 1,
@@ -179,20 +179,19 @@ def _resolve_sigma(b, sigma):
     return sigma
 
 
-def _gamma_signs(bsigns):
-    """One 4N-period of signs of Gamma_plus(b), for b given by signs only.
+def _gamma_signs(bsigns, lo=0):
+    """Signs of c_{2 lo} .. c_{2 hi + 1} for c = Gamma_plus(b), given the
+    signs of b_lo .. b_hi with lo <= 0 <= hi.
 
-    Entry j of the result is the sign of c_j, j = 0 .. 4N-1.
+    s_0 = 1 and s_n = -b_n s_{n-1} run outwards from index 0 on each side
+    (backwards, s_{n-1} = -b_n s_n); each s_n gives the pair
+    (c_{2n}, c_{2n+1}) = sigma (s_n, -s_n).
     """
-    N = len(bsigns)
-    s = [1]
-    for n in range(1, 2 * N):
-        s.append(-bsigns[n % N] * s[-1])
-    w = []
-    for n in range(2 * N):
-        w.append(s[n])
-        w.append(-s[n])
-    return w
+    t = -np.asarray(bsigns, dtype=int)  # -b_n at position n - lo
+    down = np.cumprod(t[-lo:0:-1])      # s_{-1}, s_{-2}, .., s_lo
+    up = np.cumprod(t[1 - lo:])         # s_1, .., s_hi
+    s = np.concatenate([down[::-1], [1], up])
+    return np.stack([s, -s], axis=1).ravel()
 
 
 def gamma_plus_word(b, sigma=None):
@@ -202,8 +201,7 @@ def gamma_plus_word(b, sigma=None):
     as attribute `period_reduction`.
     """
     sigma = _resolve_sigma(b, sigma)
-    w = _gamma_signs(b.signs)
-    word, factor = SignWord(w, sigma).reduced()
+    word, factor = SignWord(_gamma_signs(b.signs * 2), sigma).reduced()
     word.period_reduction = factor
     return word
 
@@ -217,17 +215,8 @@ def gamma_plus_window(b, sigma=None):
     if not b.lo <= 0 <= b.hi:
         raise ValueError("window must contain index 0")
     sigma = _resolve_sigma(b, sigma)
-    bsign = {n: (1 if b.value(n) > 0 else -1) for n in range(b.lo, b.hi + 1)}
-    s = {0: 1}
-    for n in range(1, b.hi + 1):
-        s[n] = -bsign[n] * s[n - 1]
-    for n in range(0, b.lo, -1):
-        s[n - 1] = -bsign[n] * s[n]
-    vals = []
-    for j in range(2 * b.lo, 2 * b.hi + 2):
-        sj = s[j // 2] if j % 2 == 0 else -s[(j - 1) // 2]
-        vals.append(sigma * sj)
-    return SeqWindow(2 * b.lo, vals)
+    bsigns = np.where(np.array(b.values) > 0, 1, -1)
+    return SeqWindow(2 * b.lo, sigma * _gamma_signs(bsigns, b.lo))
 
 
 def hat_inversion(b):
@@ -262,18 +251,17 @@ def fixed_point_window(n, sigma=1.0):
 
 def c_iterate_word(m, branch, sigma=1.0):
     """The m-th iterate word: m-fold Gamma_plus image of the constant word
-    of the given branch ('+' or '-'), scaled to amplitude sigma.
-    Period divides 4^m (minimal-period reduction applied).
+    of the given branch ('+' or '-'), scaled to amplitude sigma, in
+    minimal-period form.  Its period is 1 at m = 0, 4 ('+') or 2 ('-') at
+    m = 1, and 2^(m+1) at m = 2 .. 8 (the range the tests pin).
     """
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
     if m < 0:
         raise ValueError("m must be >= 0")
-    signs = (1,) if branch == "+" else (-1,)
-    word = SignWord(signs, 1.0)
+    word = SignWord((1,) if branch == "+" else (-1,), 1.0)
     for _ in range(m):
-        w = _gamma_signs(word.signs)
-        word, _ = SignWord(w, 1.0).reduced()
+        word = gamma_plus_word(word, 1.0)
     return SignWord(word.signs, sigma)
 
 
@@ -285,11 +273,8 @@ def m_word(b, sigma=None):
     The subdiagonal value equals -b.sigma exactly (no square root involved).
     """
     sigma = _resolve_sigma(b, sigma)
-    w = _gamma_signs(b.signs)  # covering period 4N, unreduced
-    P = len(w)
-    diag = []
-    for k in range(P // 2):
-        diag.append(sigma * (w[(2 * k + 1) % P] + w[(2 * k + 2) % P]))
+    w = _gamma_signs(b.signs * 2)  # covering period 4N, unreduced
+    diag = sigma * (w[1::2] + np.roll(w, -2)[::2])
     return DiagWord(diag, -b.sigma, sigma)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from hopsign.eigen import eigvals, eigvals_stack, oracle_eigvals
 from hopsign.metrics import matching_distance
-from hopsign.spectra import build_finite
+from hopsign.spectra import build_finite, build_periodic
 
 seed = 9
 nruns = 40
@@ -178,6 +178,20 @@ def test_oracle_keeps_close_simple_roots_apart():
     w = np.array(oracle_eigvals(np.diag([0.0, 1e-5, 1.0])))
     assert len(np.unique(w)) == 3
     assert matching_distance(w, [0.0, 1e-5, 1.0]) < 1e-7
+
+
+def test_oracle_near_defective_cluster_is_good_to_the_k_fold_floor():
+    # signs -+-+ at sigma 1: det(lam - A) = lam^4 + 2 - 2 cos theta, whose
+    # roots sqrt(2 sin(theta/2)) e^(i pi (2k+1)/4) form a 4-cluster of radius
+    # 6.1e-4 at this twist; the oracle misses them by 6.6e-5, far outside its
+    # simple-root 1e-7 but inside the 4-fold floor 10 (eps ||A||_2)^(1/4)
+    theta = 2 * np.pi * 5.96e-8
+    a = build_periodic([-1.0, 1.0, -1.0, 1.0], np.exp(1j * theta))
+    exact = (np.sqrt(2 * np.sin(theta / 2))
+             * np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4))
+    floor = 10 * (np.finfo(float).eps * np.linalg.norm(a, 2)) ** 0.25
+    assert matching_distance(np.array(eigvals(a)), exact) < 1e-10
+    assert matching_distance(np.array(oracle_eigvals(a)), exact) < floor
 
 
 def test_oracle_size_limit():

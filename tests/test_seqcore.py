@@ -117,16 +117,20 @@ def test_gamma_plus_word_sigma_mismatch():
 
 
 def test_gamma_plus_window_range_and_relations():
-    vals = [0.25 * s for s in (1, -1, -1, 1, -1, 1, 1)]
-    b = SeqWindow(-2, vals)  # covers [-2, 4]
-    c = gamma_plus_window(b)
-    assert (c.lo, c.hi) == (2 * b.lo, 2 * b.hi + 1)
-    assert c.sigma == pytest.approx(0.5)
-    assert c.value(0) == pytest.approx(0.5)
-    for n in range(b.lo, b.hi + 1):
-        assert c.value(2 * n) + c.value(2 * n + 1) == pytest.approx(0.0)
-        if c.lo <= 2 * n - 1:
-            assert c.value(2 * n) * c.value(2 * n - 1) == pytest.approx(b.value(n))
+    # windows starting or ending at 0 leave one or both of the sign kernel's
+    # outward runs from index 0 empty
+    rng = np.random.default_rng(seed)
+    for lo, hi in [(0, 0), (0, 1), (0, 6), (-1, 0), (-6, 0), (-1, 1),
+                   (-2, 4), (-7, 3)]:
+        b = SeqWindow(lo, 0.25 * rng.choice([-1, 1], size=hi - lo + 1))
+        c = gamma_plus_window(b)
+        assert (c.lo, c.hi) == (2 * lo, 2 * hi + 1)
+        assert c.sigma == pytest.approx(0.5)
+        assert c.value(0) == 0.5
+        for n in range(lo, hi + 1):
+            assert c.value(2 * n) + c.value(2 * n + 1) == 0.0
+            if n > lo:
+                assert c.value(2 * n) * c.value(2 * n - 1) == b.value(n)
     with pytest.raises(ValueError):
         gamma_plus_window(SeqWindow(1, [0.25, -0.25]))
 
@@ -162,9 +166,9 @@ def test_first_iterate_words():
     assert c_iterate_word(0, "-").signs == (-1,)
     assert c_iterate_word(1, "+").signs == (1, -1, -1, 1)
     assert c_iterate_word(1, "-").signs == (1, -1)
-    assert c_iterate_word(2, "+").period == 8
-    assert c_iterate_word(2, "-").period == 8
-    assert c_iterate_word(3, "+").period == 16
+    for branch, first in (("+", [1, 4]), ("-", [1, 2])):
+        periods = [c_iterate_word(m, branch).period for m in range(9)]
+        assert periods == first + [2 ** (m + 1) for m in range(2, 9)]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
