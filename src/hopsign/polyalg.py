@@ -1,10 +1,11 @@
 """Exact integer polynomial arithmetic for the c-tilde recurrences.
 
-A polynomial is a dense list of Python ints, index k holding the coefficient
-of lambda^k; the zero polynomial is the empty list.  Coefficients stay tiny
-in practice (the u_n coefficients are all in {-1, 0, 1}) but arithmetic is
-arbitrary precision regardless; a debug assertion flags anything above 2^62
-as a sign of drift.
+A polynomial is a zero-padded int8 row, index k holding the coefficient of
+lambda^k.  The arithmetic stays exact: uv_polys checks that every table entry
+lies in (-64, 64), and since each recurrence step adds two such entries, its
+result lies in (-128, 128), so no int8 step wrapped.  The coefficients are
+tiny in practice (the u_n coefficients are all in {-1, 0, 1}; the largest
+|v_n| coefficient is 9 at n = 1024 and 11 at n = 4096).
 
 The objects of interest are the solutions of
 
@@ -15,71 +16,37 @@ whose transfer matrix is T_n = [[v_n, u_n], [v_{n+1}, u_{n+1}]] with
 trace tr(T_n) = u_{n+1} + v_n and det(T_n) = prod(c~_1 .. c~_n).
 """
 
-from itertools import zip_longest
-
 import numpy as np
 
 from .seqcore import c_tilde_array
 
-_COEFF_LIMIT = 1 << 62
-
-
-def poly_norm(p):
-    """Strip trailing zero coefficients."""
-    n = len(p)
-    while n and p[n - 1] == 0:
-        n -= 1
-    return p[:n]
-
-
-def poly_add(a, b):
-    return poly_norm([x + y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def poly_sub(a, b):
-    return poly_norm([x - y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            res[i + j] += x * y
-    assert all(abs(cc) < _COEFF_LIMIT for cc in res), "coefficient drift"
-    return poly_norm(res)
-
-
-def monomial(k, coeff=1):
-    return poly_norm([0] * k + [coeff])
-
 
 def uv_polys(n_max):
-    """The polynomials u_0 .. u_{n_max+1} and v_0 .. v_{n_max+1}, exact.
+    """Tables u, v of shape (n_max + 2, n_max + 1) whose row n holds the
+    coefficients of u_n and v_n, exact, for n = 0 .. n_max + 1.
 
     Degrees: deg u_n = n - 1 and deg v_n = n - 2 for n >= 2.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ct = c_tilde_array(n_max + 1)
-    u = [[], [1]]
-    v = [[1], []]
+    t = np.zeros((2, n_max + 2, n_max + 1), dtype=np.int8)
+    t[0, 1, 0] = t[1, 0, 0] = 1
     for n in range(1, n_max + 1):
-        step = poly_sub if ct[n] == 1 else poly_add
-        for seq in (u, v):
-            seq.append(step([0] + seq[n], seq[n - 1]))
-    return u, v
+        t[:, n + 1, 1:] = t[:, n, :-1]
+        t[:, n + 1] -= ct[n] * t[:, n - 1]
+    if t.min() <= -64 or t.max() >= 64:
+        raise OverflowError("a u/v coefficient left (-64, 64); an int8 step "
+                            "may have wrapped")
+    return t[0], t[1]
 
 
 def trace_poly(n):
-    """tr(T_n) = u_{n+1} + v_n, exact."""
+    """tr(T_n) = u_{n+1} + v_n, exact, as its n + 1 coefficients."""
     if n < 1:
         raise ValueError("n must be >= 1")
     u, v = uv_polys(n)
-    return poly_add(u[n + 1], v[n])
+    return u[n + 1] + v[n]
 
 
 class PTable:
@@ -94,42 +61,27 @@ class PTable:
     For odd i, j exactly one of (3) and (4) can fire because u_{(i+1)/2} and
     u_{(i-1)/2} are polynomials of opposite parity, so the supports at
     (j+1)/2 are disjoint and no cancellation is possible.  Entries are all
-    in {-1, 0, +1}; rows are stored sparsely as {j: sign}.
+    in {-1, 0, +1}; p is a dense (i_max + 1, i_max + 1) int8 array whose row
+    and column 0 are unused, filled one doubling block of rows at a time.
     """
 
     def __init__(self, i_max):
         if i_max < 1:
             raise ValueError("i_max must be >= 1")
         ct = c_tilde_array(i_max)
-        rows = [None, {1: 1}]
-        for i in range(2, i_max + 1):
-            if i % 2 == 0:
-                rows.append({2 * j: s for j, s in rows[i // 2].items()})
-            else:
-                n = (i - 1) // 2
-                row = {2 * j - 1: s for j, s in rows[n + 1].items()}
-                ci = int(ct[i])
-                for j, s in rows[n].items():
-                    jj = 2 * j - 1
-                    assert jj not in row, "rules (3) and (4) collided"
-                    row[jj] = ci * s
-                rows.append(row)
+        p = np.zeros((i_max + 1, i_max + 1), dtype=np.int8)
+        p[1, 1] = 1
+        lo, we, wo = 1, i_max // 2 + 1, (i_max + 1) // 2 + 1  # column ends
+        while 2 * lo <= i_max:  # rows 2 lo .. 4 lo - 1 from rows lo .. 2 lo
+            hi = min(4 * lo, i_max + 1)
+            ne, no = (hi - 2 * lo + 1) // 2, (hi - 2 * lo) // 2  # row counts
+            p[2 * lo:hi:2, 2::2] = p[lo:lo + ne, 1:we]  # (2)
+            up, down = p[lo + 1:lo + no + 1, 1:wo], p[lo:lo + no, 1:wo]
+            assert not (up * down).any(), "rules (3) and (4) collided"
+            p[2 * lo + 1:hi:2, 1::2] = up + ct[2 * lo + 1:hi:2, None] * down
+            lo *= 2
         self.i_max = i_max
-        self.rows = rows
-
-    def sign(self, i, j):
-        return self.rows[i].get(j, 0)
-
-    def row(self, i):
-        """Sparse row {j: sign} for u_i."""
-        return dict(self.rows[i])
-
-    def row_coeffs(self, i):
-        """Dense coefficient list of u_i reconstructed from the table."""
-        p = [0] * i
-        for j, s in self.rows[i].items():
-            p[j - 1] = s
-        return poly_norm(p)
+        self.p = p
 
     def constant_coefficient(self, i):
         """gamma_i = p[i, 1] from the product formula
@@ -174,41 +126,44 @@ def verify_identities(r_max):
     ct = c_tilde_array(m_top)
     report = []
 
-    def first_mismatch(p, q):
-        for k, (x, y) in enumerate(zip_longest(p, q, fillvalue=0)):
-            if x != y:
-                return k, x, y
-        return None
+    def compare(r, check, got, want):  # want: {power: coefficient}
+        target = np.zeros_like(got)
+        target[list(want)] = list(want.values())
+        bad = np.flatnonzero(got != target)
+        k = bad[0] if bad.size else None
+        report.append({"r": r, "check": check, "ok": k is None,
+                       "detail": "" if k is None
+                       else f"coeff {k}: {got[k]} != {target[k]}"})
 
     for r in range(1, r_max + 1):
         m = 2 ** r
 
-        target = poly_sub(monomial(m), [2])
-        bad = first_mismatch(poly_add(u[m + 1], v[m]), target)
-        report.append({"r": r, "check": "trace", "ok": bad is None,
-                       "detail": "" if bad is None else f"coeff {bad[0]}: {bad[1]} != {bad[2]}"})
+        compare(r, "trace", u[m + 1] + v[m], {0: -2, m: 1})
 
-        det = poly_sub(poly_mul(v[m], u[m + 1]), poly_mul(u[m], v[m + 1]))
+        rows = np.stack([v[m], u[m + 1], u[m], v[m + 1]])[:, :m + 1]
+        rows = rows.astype(np.int64)
+        det = np.convolve(rows[0], rows[1]) - np.convolve(rows[2], rows[3])
         prod = int(np.prod(ct[1:m + 1], dtype=np.int64))
-        ok = det == [prod] and prod == 1
-        report.append({"r": r, "check": "det", "ok": ok,
-                       "detail": "" if ok else f"det poly {det[:4]}..., sign product {prod}"})
+        ok = det[0] == prod == 1 and not det[1:].any()
+        report.append({"r": r, "check": "det", "ok": bool(ok),
+                       "detail": "" if ok else "det poly "
+                       f"{np.trim_zeros(det, 'b')[:4].tolist()}..., "
+                       f"sign product {prod}"})
 
-        bad = first_mismatch(u[m], monomial(m - 1))
-        report.append({"r": r, "check": "u_power", "ok": bad is None,
-                       "detail": "" if bad is None else f"coeff {bad[0]}: {bad[1]} != {bad[2]}"})
+        compare(r, "u_power", u[m], {m - 1: 1})
 
+        p = u[m + 1]
         if r == 1:
-            ok = u[3] == [-1, 0, 1]
+            ok = np.array_equal(np.trim_zeros(p, "b"), [-1, 0, 1])
             report.append({"r": r, "check": "u_shape", "ok": ok,
                            "detail": "n/a for m=2; pinned u_3 = lambda^2 - 1"})
             continue
-        p = u[m + 1]
-        ok = len(p) == m + 1 and p[0] == -1
-        if ok:  # zero gap below lambda^(m/2), then even powers only
-            ok = all(c == 0 for c in p[1:m // 2])
-            ok = ok and all(c == 0 for c in p[m // 2 + 1::2])
-            ok = ok and all(c in (-1, 0, 1) for c in p)
-        report.append({"r": r, "check": "u_shape", "ok": ok,
-                       "detail": "" if ok else f"u_{m + 1} leading terms {p[:6]}..."})
+        # degree m, constant -1, zero gap below lambda^(m/2), then even
+        # powers only, every coefficient in {-1, 0, 1}
+        ok = (p[0] == -1 and p[m] != 0 and not p[m + 1:].any()
+              and not p[1:m // 2].any() and not p[m // 2 + 1::2].any()
+              and np.abs(p).max() <= 1)
+        report.append({"r": r, "check": "u_shape", "ok": bool(ok),
+                       "detail": "" if ok
+                       else f"u_{m + 1} leading terms {p[:6].tolist()}..."})
     return report

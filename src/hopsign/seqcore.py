@@ -116,14 +116,14 @@ class SeqWindow:
 
     def __init__(self, lo, values):
         self.lo = int(lo)
-        self.values = tuple(float(v) for v in values)
-        if not self.values:
+        self.values = np.array(values, dtype=float)
+        if not self.values.size:
             raise ValueError("empty window")
+        self.values.flags.writeable = False
         self.hi = self.lo + len(self.values) - 1
-        sigma = abs(self.values[0])
-        if any(abs(abs(v) - sigma) > 1e-12 for v in self.values):
+        self.sigma = float(abs(self.values[0]))
+        if np.any(np.abs(np.abs(self.values) - self.sigma) > 1e-12):
             raise ValueError("window values must all have the same modulus")
-        self.sigma = sigma
 
     def value(self, n):
         if not self.lo <= n <= self.hi:
@@ -137,7 +137,7 @@ class SeqWindow:
 
     def __eq__(self, other):
         return (isinstance(other, SeqWindow) and self.lo == other.lo
-                and self.values == other.values)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self):
         return f"SeqWindow([{self.lo},{self.hi}], sigma={self.sigma})"
@@ -215,7 +215,7 @@ def gamma_plus_window(b, sigma=None):
     if not b.lo <= 0 <= b.hi:
         raise ValueError("window must contain index 0")
     sigma = _resolve_sigma(b, sigma)
-    bsigns = np.where(np.array(b.values) > 0, 1, -1)
+    bsigns = np.where(b.values > 0, 1, -1)
     return SeqWindow(2 * b.lo, sigma * _gamma_signs(bsigns, b.lo))
 
 
@@ -244,9 +244,9 @@ def fixed_point_window(n, sigma=1.0):
         for _ in range(n):
             w = gamma_plus_window(w, 1.0)
         outs.append(w.sliced(2 - 2 ** n, 2 ** n - 1))
-    if outs[0].values != outs[1].values:
+    if not np.array_equal(outs[0].values, outs[1].values):
         raise AssertionError("iterates from distinct starts disagree")
-    return SeqWindow(outs[0].lo, [sigma * v for v in outs[0].values])
+    return SeqWindow(outs[0].lo, sigma * outs[0].values)
 
 
 def c_iterate_word(m, branch, sigma=1.0):

@@ -23,9 +23,10 @@ from .transfer import RegionParams, det_residual
 MAX_PERIOD = 14
 # write_csv formats this many rows per write
 CSV_CHUNK = 1024
-# pi_union refuses a cloud that would not fit in the available memory at this
-# many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV and
-# SVG output peaks at 255.6 MiB RSS, 79.4 MiB after import, for 2,058,240 points
+# pi_union and bloch_spectrum refuse a cloud that would not fit in memory at
+# this many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV
+# and SVG output peaks at 255.6 MiB RSS, 79.4 MiB after import, for 2,058,240
+# points
 BYTES_PER_POINT = 90
 # _periodic_spectra solves an even-N section with a root below this whole
 ROOT_FLOOR = 1 / 16
@@ -297,10 +298,14 @@ def _orbit_spectra(cs, alpha_count):
 
 
 def bloch_spectrum(word, alpha_count):
-    """Union of periodised-section spectra over the uniform alpha grid."""
+    """Union of periodised-section spectra over the uniform alpha grid;
+    ValueError before the twist grid is built when the cloud, at
+    BYTES_PER_POINT a point, would exceed the available memory."""
+    w = _bloch_word(word)
+    points = alpha_count * w.period
+    _require_memory(points * BYTES_PER_POINT, f"{points} points")
     cloud = SpectrumCloud(word.sigma, unit_grid(alpha_count),
                           params={"alpha_count": alpha_count})
-    w = _bloch_word(word)
     cloud.register_word(0, sign_pattern(word.signs))
     eig = _orbit_spectra([w.cvals()], alpha_count)
     cloud.add(eig[0], 0, np.arange(alpha_count), w.period)
@@ -326,24 +331,24 @@ def pi_union(n_max, sigma, alpha_count):
     (one representative per rotation class), sorted for determinism; the
     words of one size share one _orbit_spectra call, so reversals and sign
     flips cost no solve.
-    ValueError before any solve when the cloud, at BYTES_PER_POINT a point,
-    would exceed the available memory."""
-    twists = unit_grid(alpha_count)
+    ValueError before the twist grid is built when the cloud, at
+    BYTES_PER_POINT a point, would exceed the available memory."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_PERIOD:
         raise ValueError(f"n_max = {n_max} exceeds the ceiling {MAX_PERIOD} "
                          f"(2^N words per period N)")
     words = enumerate_words(n_max, sigma)
-    cloud = SpectrumCloud(sigma, twists, params={"n_max": n_max,
-                                                 "alpha_count": alpha_count})
     by_size = {}
     for wid, word in enumerate(words):
-        cloud.register_word(wid, sign_pattern(word.signs))
         c = _bloch_word(word).cvals()
         by_size.setdefault(len(c), []).append((wid, c))
     points = alpha_count * sum(n * len(group) for n, group in by_size.items())
     _require_memory(points * BYTES_PER_POINT, f"{points} points")
+    cloud = SpectrumCloud(sigma, unit_grid(alpha_count),
+                          params={"n_max": n_max, "alpha_count": alpha_count})
+    for wid, word in enumerate(words):
+        cloud.register_word(wid, sign_pattern(word.signs))
     for size in sorted(by_size):
         wids, cs = zip(*by_size[size])
         eig = _orbit_spectra(cs, alpha_count)

@@ -205,6 +205,26 @@ def test_pi_union_too_big_for_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["pi-union", "--nmax", "1", "--alpha-count", "1000000000000"],
+    ["curve", "--nmax", "0", "--alpha-count", "1000000000000",
+     "--mode", "bloch"],
+])
+def test_huge_alpha_count_exits_2_before_allocating(argv, monkeypatch,
+                                                    capsys):
+    # 10^12 twists are refused by the memory estimate before the twist grid
+    # (16 bytes a twist) is built
+    monkeypatch.setattr(np.linalg, "eigvals", _no_solve)
+    monkeypatch.setattr(spectra, "_available_memory", lambda: 2 ** 33)
+    monkeypatch.setattr(spectra, "unit_grid", _no_solve)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid configur")
+    assert "available" in err and "Traceback" not in err
+
+
 def test_finite_too_big_for_memory_exits_2(monkeypatch, capsys):
     # a 10^6 x 10^6 complex section takes 14.6 TiB: refused before the draw,
     # so no section is built

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import hopsign.seqcore as seqcore
-from hopsign.polyalg import (PTable, monomial, p_table, poly_add, poly_mul,
-                             poly_norm, poly_sub, trace_poly, uv_polys,
+from hopsign.polyalg import (PTable, p_table, trace_poly, uv_polys,
                              verify_identities)
 from hopsign.seqcore import SignWord, c_tilde, c_tilde_array
 from hopsign.transfer import trace_det
@@ -36,23 +35,9 @@ TRACE_TABLE = [
 U9, V9 = uv_polys(9)
 
 
-# ---------------------------------------------------------------- helpers
-
-def test_poly_norm_strips_trailing_zeros():
-    assert poly_norm([1, 0, 2, 0, 0]) == [1, 0, 2]
-    assert poly_norm([0, 0]) == []
-    assert poly_norm([]) == []
-
-
-def test_poly_arithmetic_basics():
-    a, b = [1, 2, 3], [4, 5]
-    assert poly_add(a, b) == [5, 7, 3]
-    assert poly_sub(a, a) == []
-    assert poly_mul(a, b) == [4, 13, 22, 15]
-    assert poly_mul(a, []) == []
-    assert poly_mul([], b) == []
-    assert monomial(3) == [0, 0, 0, 1]
-    assert monomial(0, -2) == [-2]
+def trimmed(row):
+    """A table row without its zero padding, as a list."""
+    return np.trim_zeros(row, "b").tolist()
 
 
 # ---------------------------------------------------------------- tables
@@ -61,43 +46,60 @@ def test_poly_arithmetic_basics():
 def test_uv_reference_table(n):
     ct, un, vn = UV_TABLE[n - 1]
     assert c_tilde(n) == ct
-    assert U9[n] == un
-    assert V9[n] == vn
+    assert trimmed(U9[n]) == un
+    assert trimmed(V9[n]) == vn
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_trace_reference_table(n):
-    assert trace_poly(n) == TRACE_TABLE[n - 1]
+    assert trace_poly(n).tolist() == TRACE_TABLE[n - 1]
 
 
 def test_uv_seed_values_and_degrees():
     u, v = uv_polys(64)
-    assert u[0] == [] and u[1] == [1]
-    assert v[0] == [1] and v[1] == []
+    assert u.shape == v.shape == (66, 65)
+    assert trimmed(u[0]) == [] and trimmed(u[1]) == [1]
+    assert trimmed(v[0]) == [1] and trimmed(v[1]) == []
     for n in range(2, 66):
-        assert len(u[n]) == n      # deg u_n = n - 1
-        assert len(v[n]) == n - 1  # deg v_n = n - 2
+        for row, degree in ((u[n], n - 1), (v[n], n - 2)):
+            assert np.flatnonzero(row)[-1] == degree
+            assert not row[degree + 1:].any()  # zero padding
 
 
 def test_uv_satisfy_their_recurrence():
     u, v = uv_polys(40)
-    ct = c_tilde_array(40)
+    ct = c_tilde_array(40).astype(int)
     for n in range(1, 40):
-        cn = int(ct[n])
-        assert u[n + 1] == poly_sub(poly_mul([0, 1], u[n]), poly_mul([cn], u[n - 1]))
-        assert v[n + 1] == poly_sub(poly_mul([0, 1], v[n]), poly_mul([cn], v[n - 1]))
+        for t in (u, v):  # t_{n+1} = lam t_n - c~_n t_{n-1}
+            lam_tn = np.convolve([0, 1], t[n].astype(int))[:-1]
+            assert np.array_equal(t[n + 1], lam_tn - ct[n] * t[n - 1])
 
 
-U40, V40 = uv_polys(40)
+U40, V40 = (t.astype(np.int64) for t in uv_polys(40))
 
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_wronskian_is_the_sign_product(n):
     # v_n u_{n+1} - u_n v_{n+1} = c~_1 ... c~_n for every n, not just powers
-    det = poly_sub(poly_mul(V40[n], U40[n + 1]), poly_mul(U40[n], V40[n + 1]))
+    det = (np.convolve(V40[n], U40[n + 1])
+           - np.convolve(U40[n], V40[n + 1]))
     prod = int(np.prod(c_tilde_array(n)[1:n + 1], dtype=np.int64))
-    assert det == [prod]
+    assert trimmed(det) == [prod]
     assert prod in (-1, 1)
+
+
+def test_uv_range_check_trips_on_large_coefficients():
+    # c~ scaled by 100 puts -100 into v_2, outside the (-64, 64) range in
+    # which no int8 step can wrap
+    seqcore.c_tilde_array(64)
+    saved = seqcore._ct_cache
+    try:
+        seqcore._ct_cache = saved * 100
+        with pytest.raises(OverflowError, match="-64, 64"):
+            uv_polys(40)
+    finally:
+        seqcore._ct_cache = saved
+    uv_polys(40)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 16])
@@ -121,18 +123,19 @@ def test_p_table_matches_uv_coefficients():
     top = 1024
     table = p_table(top)
     u, _ = uv_polys(top)
+    assert table.p.shape == (top + 1, top + 1)
     for i in range(1, top + 1):
-        assert table.row_coeffs(i) == u[i]
+        assert np.array_equal(table.p[i, 1:], u[i, :top])
 
 
 def test_p_table_entries_and_structure():
-    table = p_table(256)
-    for i in range(1, 257):
-        row = table.row(i)
-        assert all(s in (-1, 1) for s in row.values())
-        assert all(1 <= j <= i for j in row)
-        if i % 2 == 0:
-            assert row == {2 * j: s for j, s in table.row(i // 2).items()}
+    p = p_table(256).p
+    assert set(np.unique(p)) == {-1, 0, 1}
+    assert not p[0].any() and not p[:, 0].any()
+    assert not np.triu(p, 1).any()  # p[i, j] = 0 for j > i
+    # rule (2), and u_2i is odd in lambda: p[2i, 2j] = p[i, j], odd j zero
+    assert np.array_equal(p[2::2, 2::2], p[1:129, 1:129])
+    assert not p[2::2, 1::2].any()
 
 
 def test_p_table_constant_coefficients():
@@ -140,7 +143,7 @@ def test_p_table_constant_coefficients():
     ct = c_tilde_array(512)
     for i in range(1, 513):
         g = table.constant_coefficient(i)
-        assert table.sign(i, 1) == g
+        assert table.p[i, 1] == g
         if i % 2 == 0:
             assert g == 0
         else:
