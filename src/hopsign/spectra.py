@@ -11,6 +11,7 @@ section A^(N)_c simply drops the corners.
 from itertools import chain
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import __version__
 from .eigen import SolverFailure, eigvals, eigvals_stack, sort_rows
@@ -389,7 +390,7 @@ def _generator(seed, *key_words):
     for w in key_words:
         mix = (mix * 1_000_003 + int(w)) % (1 << 64)
     key = np.array([seed, mix], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
@@ -491,7 +492,7 @@ def square_spectrum_check(b, alpha_count):
     eb = _periodic_spectra(b_cover.cvals(), alphas)
     em = eigvals_stack(_m_ring_stack(mw, alphas))
 
-    per_alpha = max(map(matching_distance, sq, np.concatenate([eb, em], 1)))
+    per_alpha = matching_distance(sq, np.concatenate([eb, em], 1))
     return {
         "hausdorff_sq_vs_b": hausdorff(sq.ravel(), eb.ravel()),
         "hausdorff_m_vs_b": hausdorff(em.ravel(), eb.ravel()),

@@ -7,7 +7,7 @@ boundaries, the annulus circles, the dashed diamond, and the hole boundary
 with a thicker stroke.
 """
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class SvgFigure:
             if command:
                 # a desc element, not an XML comment: command lines contain
                 # "--", which is forbidden inside comments
-                f.write(f"<desc>command: {escape(command)}</desc>\n")
+                f.write(f"<desc>command: {escape(command, False)}</desc>\n")
             f.write(f'<rect width="{self.size}" height="{self.size}" '
                     f'fill="white"/>\n')
             f.write(f'<rect x="{self.margin}" y="{self.margin}" '

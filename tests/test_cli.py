@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hopsign
 from hopsign import spectra
 from hopsign.cli import _derived_path, main
 from hopsign.eigen import SolverFailure
@@ -23,6 +27,20 @@ def test_derived_path():
     assert _derived_path("a.b.csv", "x") == "a.b.x.csv"
     assert _derived_path("./f", "open") == "./f.open"
     assert _derived_path("runs/v1.2/f", "open") == "runs/v1.2/f.open"
+
+
+def test_cli_import_loads_no_scipy_or_network_stack():
+    # every command pays for the CLI's imports: scipy is only a test oracle,
+    # and xml.sax pulls in urllib.request, http.client, ssl and email
+    src = os.path.dirname(os.path.dirname(hopsign.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import hopsign.cli, sys; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'scipy' or m.startswith(('xml.sax', "
+            "'urllib.request'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_passes_and_reports_json(capsys):

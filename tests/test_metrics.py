@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
-from hopsign.metrics import (directed_hausdorff, hausdorff, matched,
+from hopsign.metrics import (_assign, directed_hausdorff, hausdorff, matched,
                              matching_distance, nn_distances,
                              segment_distances)
+from hopsign.spectra import pi_union
 
 seed = 31
 # a local RandomState, not the global RNG: these draws name the
@@ -60,7 +63,85 @@ def test_nn_distances_accepts_grids():
     assert d[-1] == pytest.approx(5.0)
 
 
+def kdtree_nn(points, refs):
+    # the k-d tree query the windowed search replaced, as an oracle
+    p, r = np.ravel(points), np.ravel(refs)
+    tree = cKDTree(np.column_stack([r.real, r.imag]))
+    return tree.query(np.column_stack([p.real, p.imag]), k=1)[0]
+
+
+def tie_clouds():
+    # exact real-part ties in refs and between points and refs
+    rng = np.random.default_rng([seed, 7])
+    a = np.round(random_cloud(rng, 300), 2)
+    pts = pi_union(4, 0.5, 64).points
+    yield "conjugates", a, np.concatenate([a, a.conj()])
+    yield "i-rotations", a, np.concatenate([a * 1j ** k for k in range(4)])
+    yield "duplicates", a[::-1], np.concatenate([a, a, a[:50]])
+    yield "grid", np.arange(-3, 4) + 0.5j, np.repeat(np.arange(-3, 4), 9) + 0j
+    yield "pi_union", 1j * pts, pts
+
+
+TIE_CLOUDS = list(tie_clouds())
+
+
+@pytest.mark.parametrize("name,points,refs", TIE_CLOUDS,
+                         ids=[c[0] for c in TIE_CLOUDS])
+def test_nn_distances_bit_equal_to_kdtree(name, points, refs):
+    assert np.array_equal(nn_distances(points, refs),
+                          kdtree_nn(points, refs))
+    assert np.array_equal(nn_distances(refs, points),
+                          kdtree_nn(refs, points))
+
+
+def test_nn_distances_input_contract():
+    assert nn_distances([1.0, 2j], []).tolist() == [np.inf, np.inf]
+    assert nn_distances([], [1.0, 2j]).shape == (0,)
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        with pytest.raises(ValueError):
+            nn_distances([0.0, bad], [1.0])
+        with pytest.raises(ValueError):
+            nn_distances([1.0], [bad, 0.0])
+
+
 # ---------------------------------------------------------------- matching
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_assignment_cost_equals_scipy(n):
+    # random costs, then two tied ones: rounded, and rounded rank-2 sums
+    rng = np.random.default_rng([seed, 8, n])
+    rand = rng.random((6, n, n))
+    ranked = np.round(rand[:, :1] + rand[:, :, :1])
+    for cost in (rand, np.round(4 * rand), ranked):
+        cols = _assign(cost)
+        for c, col in zip(cost, cols):
+            assert sorted(col) == list(range(n))
+            r, oracle = linear_sum_assignment(c)
+            assert c[np.arange(n), col].sum() == pytest.approx(
+                c[r, oracle].sum(), rel=1e-12, abs=0)
+
+
+def test_stacked_matching_is_max_of_rows():
+    rng = np.random.default_rng([seed, 9])
+    w1 = random_cloud(rng, 40 * 8).reshape(5, 8, 8)
+    w2 = np.round(w1 + 0.3 * random_cloud(rng, w1.size).reshape(w1.shape), 1)
+    rows = [matching_distance(a, b) for a, b in zip(w1.reshape(-1, 8),
+                                                    w2.reshape(-1, 8))]
+    assert matching_distance(w1, w2) == max(rows)
+    assert np.array_equal(matched(w1, w2).reshape(-1, 8),
+                          [matched(a, b) for a, b in zip(w1.reshape(-1, 8),
+                                                         w2.reshape(-1, 8))])
+
+
+def test_matching_input_contract():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            matched([0.0, bad], [0.0, 1.0])
+        with pytest.raises(ValueError):
+            matching_distance([0.0, 1.0], [bad, 1.0])
+    with pytest.raises(ValueError):
+        matched(np.zeros((2, 3)), np.zeros((3, 2)))
+
 
 def test_matching_simple_pairs():
     # sorted pairing would match 0-0 and 0-1 as well; both give max 1
