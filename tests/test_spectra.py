@@ -200,12 +200,14 @@ def test_cloud_csv_golden(tmp_path):
 
 
 def test_cloud_csv_rows_across_chunks(tmp_path):
-    # 2500 rows span three write chunks; each row keeps its own tags
+    # 5 * (CSV_CHUNK // 2) rows span three write chunks; each row keeps its
+    # own tags
     rng = np.random.default_rng(3)
-    pts = rng.normal(size=2500) + 1j * rng.normal(size=2500)
-    al = unit_grid(500)
+    b = spectra.CSV_CHUNK // 2
+    pts = rng.normal(size=5 * b) + 1j * rng.normal(size=5 * b)
+    al = unit_grid(b)
     c = SpectrumCloud(0.5, al)
-    c.add(pts.reshape(500, 5), np.arange(500), np.arange(500), 5)
+    c.add(pts.reshape(b, 5), np.arange(b), np.arange(b), 5)
     c.write_csv(tmp_path / "c.csv")
     rows = (tmp_path / "c.csv").read_text().splitlines()[3:]
     assert rows == ["%.17g, %.17g, 5, %d, %.17g, %.17g" % (
@@ -213,10 +215,50 @@ def test_cloud_csv_rows_across_chunks(tmp_path):
         for k, z in enumerate(pts)]
 
 
-@pytest.mark.parametrize("lead", [0, 1022])
+def _signed_zero_cloud():
+    # 0.0 and -0.0 as re and im in one chunk, x and -x sharing a magnitude,
+    # and one value on both sides of the first chunk boundary
+    n = spectra.CSV_CHUNK
+    pts = np.random.default_rng(5).normal(size=(n + 4, 2)) @ [1, 1j]
+    pts[:6] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.0, 0.0),
+               complex(-0.0, -0.0), 0.1 - 0.1j, -0.1 + 0.1j]
+    pts[n - 1:n + 1] = 1 / 3 - 2j / 3
+    c = SpectrumCloud(0.5, unit_grid(4))
+    c.add(pts[:, None], 7, np.arange(n + 4) % 4, 1)
+    return c
+
+
+def _wide_tag_cloud():
+    # word ids and sizes outside 32 bits; (0, 2^32) and (1, 0) would share
+    # the key word_id << 32 | N
+    wids = [0, 1, -1, -2**31, 2**31, 2**32, 2**63 - 1, -2**63]
+    sizes = [2**32, 0, 3, 2**40, -4, 3, 2**63 - 1, 5]
+    c = SpectrumCloud(0.5)
+    c.add(np.full((len(wids), 2), 0.5 - 0.25j), wids, 0, sizes)
+    return c
+
+
+@pytest.mark.parametrize("make", [lambda: pi_union(4, 0.5, 8),
+                                  _signed_zero_cloud, _wide_tag_cloud],
+                         ids=["pi_union", "signed_zero", "wide_tags"])
+def test_cloud_csv_matches_per_row_format(tmp_path, make):
+    # write_csv formats each distinct value once per chunk; its rows equal
+    # a per-row %-format of every column
+    c = make()
+    c.write_csv(tmp_path / "r.csv")
+    rows = [r for r in (tmp_path / "r.csv").read_text().splitlines()
+            if not r.startswith("#")]
+    assert rows == ["%.17g, %.17g, %d, %d, %.17g, %.17g" % (
+        z.real, z.imag, n, w, a.real, a.imag) for z, n, w, a in zip(
+        c.points.tolist(), c.N.tolist(), c.word_id.tolist(),
+        c.alpha.tolist())]
+
+
+@pytest.mark.parametrize("lead", [0, spectra.CSV_CHUNK - 2])
 def test_cloud_csv_signed_zero_twists(tmp_path, lead):
     # twists that differ only in the sign of a zero print their own digits,
-    # inside one chunk (lead 0) and across the chunk boundary (lead 1022)
+    # inside one chunk (lead 0) and across the chunk boundary (lead
+    # CSV_CHUNK - 2)
     twists = [1 + 0j, complex(1, -0.0), complex(-0.0, 1), complex(0.0, 1)]
     tags = [4] * lead + [0, 1, 2, 3] * 2
     c = SpectrumCloud(0.5, twists + [1j])
