@@ -41,17 +41,38 @@ def sign_pattern(values):
     return "".join("+" if v > 0 else "-" for v in values)
 
 
+def rotation_classes(rows):
+    """For each row of a (W, n) sign array: the offset k of its least
+    rotation row[k:] + row[:k] (the smallest such k), its minimal period and
+    the code of that rotation.  A code packs the bits sign > 0, first sign
+    most significant, into 64-bit words, so code order is lexicographic
+    order with - before +; the minimal period is n over the number of
+    rotations whose code equals the row's (one for a primitive row)."""
+    pos = np.asarray(rows) > 0
+    n = pos.shape[1]
+    rot = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([pos, pos[:, :-1]], axis=1), n, axis=1)  # [w, k, :]
+    codes = np.packbits(rot, axis=2)
+    codes = np.pad(codes, [(0, 0), (0, 0), (0, -codes.shape[2] % 8)])
+    codes = codes.view(">u8")  # [w, k, word]
+    least = np.ones(rot.shape[:2], bool)
+    for col in np.moveaxis(codes, 2, 0):
+        least &= col == np.where(least, col, col.max()).min(1, keepdims=True)
+    k = least.argmax(axis=1)
+    fixed = (codes == codes[:, :1]).all(axis=2).sum(axis=1)
+    return k, n // fixed, codes[np.arange(len(k)), k]
+
+
 def least_rotation(signs):
     """Lexicographically least rotation of a sign tuple."""
-    return min(signs[k:] + signs[:k] for k in range(len(signs)))
+    k = rotation_classes([signs])[0][0]
+    return tuple(signs[k:]) + tuple(signs[:k])
 
 
 def minimal_period(signs):
     """Smallest d dividing len(signs) such that signs repeats its first d
     entries."""
-    n = len(signs)
-    return next(d for d in range(1, n + 1)
-                if n % d == 0 and signs == signs[:d] * (n // d))
+    return int(rotation_classes([signs])[1][0])
 
 
 class SignWord:

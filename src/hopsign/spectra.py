@@ -15,7 +15,7 @@ from . import __version__
 from .eigen import SolverFailure, eigvals, eigvals_stack, sort_rows
 from .metrics import hausdorff, matching_distance, nn_distances
 from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
-                      least_rotation, m_word, minimal_period, sign_pattern)
+                      least_rotation, m_word, rotation_classes, sign_pattern)
 from .transfer import RegionParams, det_residual
 
 # pi_union refuses periods above this: 2^N words per period N
@@ -266,6 +266,18 @@ def _bloch_word(word):
     return word
 
 
+def _orbit_images(pos):
+    """(4, W) table: at [a + 2 b, w], the row of pos (W, n), a bool array of
+    + signs with rows distinct up to rotation, that equals row w reversed a
+    times and negated b times up to rotation, or -1 where none does."""
+    v = np.concatenate([pos, pos[:, ::-1], ~pos, ~pos[:, ::-1]])
+    cls = np.unique(rotation_classes(v)[2], axis=0,
+                    return_inverse=True)[1].ravel()
+    owner = np.full(len(v), -1)
+    owner[cls[:len(pos)]] = np.arange(len(pos))
+    return owner[cls].reshape(4, len(pos))
+
+
 def _orbit_spectra(cs, alpha_count):
     """(W, K, N) sorted spectra of the periodised sections of the W rows
     of c (W, N) at the K = alpha_count twists of unit_grid, one solve per
@@ -279,11 +291,7 @@ def _orbit_spectra(cs, alpha_count):
     cs = np.asarray(cs, dtype=float)
     rows, n = cs.shape
     size = rows * alpha_count
-    pos = cs > 0
-    index = {least_rotation(tuple(p)): w for w, p in enumerate(pos.tolist())}
-    image = np.array([[index.get(least_rotation(tuple(q)), -size)
-                       for q in v.tolist()]  # [a + 2 (b % 2), w]
-                      for v in (pos, pos[:, ::-1], ~pos, ~pos[:, ::-1])])
+    image = _orbit_images(cs > 0)
     node = np.arange(size)
     w, k = np.divmod(node, alpha_count)
     rep, how = node.copy(), np.zeros(size, int)
@@ -331,10 +339,10 @@ def enumerate_words(n_max, sigma=1.0):
     <= n_max appears exactly once."""
     out = []
     for n in range(1, n_max + 1):
-        for bits in range(2 ** n):
-            signs = tuple(1 if (bits >> i) & 1 else -1 for i in range(n))
-            if least_rotation(signs) == signs and minimal_period(signs) == n:
-                out.append(SignWord(signs, sigma))
+        bits = np.arange(2 ** n)[:, None] >> np.arange(n) & 1  # sign i: bit i
+        k, period, _ = rotation_classes(bits)
+        out += [SignWord(np.where(b, 1, -1), sigma)
+                for b in bits[(k == 0) & (period == n)]]
     return out
 
 

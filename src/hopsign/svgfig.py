@@ -2,6 +2,8 @@
 
 Points are drawn as short round-capped strokes batched into path elements,
 which keeps files tractable for clouds of a few hundred thousand points.
+Path coordinates are the correctly rounded "%.2f" text of each value, built
+by integer arithmetic on arrays, with Python's "%.2f" only near a tie.
 Guide overlays mirror the usual figure conventions: the two ellipse
 boundaries, the annulus circles, the dashed diamond, and the hole boundary
 with a thicker stroke.
@@ -14,6 +16,36 @@ import numpy as np
 from .transfer import RegionParams, hole_boundary_radius, rho_curve
 
 POINT_LIMIT = 200000
+
+
+def fixed2(values, lead=0):
+    """The "%.2f" text of each value of a float array as the rows of a
+    (len, lead + width) uint8 array, zero bytes padding: `lead` columns, a
+    "-" where the sign bit is set (-0.001 prints -0.00), then the digits of
+    q = rint(100 |x|) right-aligned.  Below 1e7, q fits an int32 and the
+    float 100 |x| is within 1.2e-7 of the exact product, so q is right unless
+    it lies within 1e-6 of a tie (1.125, 1.005); such values, the non-finite
+    ones and those of 1e7 or more take Python's "%.2f"."""
+    v = np.asarray(values, dtype=float).ravel()
+    fast = np.abs(v) < 1e7
+    r = np.abs(np.where(fast, v, 0.0)) * 100
+    slow = np.flatnonzero(~fast | (np.abs(r - np.floor(r) - 0.5) <= 1e-6))
+    texts = [b"%.2f" % x for x in v[slow].tolist()]
+    q = np.rint(r).astype(np.int32)
+    nd = len(str(q.max(initial=0) // 100))
+    width = max([nd + 4] + [len(t) for t in texts])
+    buf = np.zeros((len(v), lead + width), np.uint8)
+    buf[:, lead] = np.signbit(v) * ord("-")
+    buf[:, -3] = ord(".")
+    for k, col in enumerate([-1, -2] + list(range(-4, -4 - nd, -1))):
+        t = q // 10
+        digit = q - 10 * t + ord("0")  # leading zeros of the integer part
+        buf[:, col] = digit if k < 3 else digit * (q > 0)  # stay blank
+        q = t
+    buf[slow, lead:] = 0
+    for i, t in zip(slow, texts):
+        buf[i, -len(t):] = np.frombuffer(t, np.uint8)
+    return buf
 
 
 class SvgFigure:
@@ -29,14 +61,20 @@ class SvgFigure:
         y = self.margin + (self.xmax - z.imag) * self.scale
         return x, y
 
-    def _path_data(self, pts, first, rest):
-        """Path data for a complex array: the format `first` for the first
-        point and `rest` for each later one, both filled with the point's
-        SVG x and y."""
+    def _path_data(self, pts, first, rest, end=""):
+        """Path data for a complex array: each point's SVG x and y as
+        "%.2f" text, after the command letter `first` for the first point
+        and `rest` for each later one, and followed by `end`."""
         if not len(pts):
             return ""
-        xy = np.column_stack(self._xy(pts)).ravel().tolist()
-        return (first + rest * (len(pts) - 1)) % tuple(xy)
+        # rows x0, y0, x1, ..., each led by m + 1 columns: end + rest before
+        # an x (first before x0, zero-padded) and " " before a y
+        m = len(end)
+        buf = fixed2(np.column_stack(self._xy(pts)), m + 1)
+        buf[:, m] = ord(" ")
+        buf[2::2, :m + 1] = np.frombuffer((end + rest).encode(), np.uint8)
+        buf[0, m] = ord(first)
+        return buf[buf != 0].tobytes().decode() + end
 
     def add_points(self, pts, color="#1f3a93", width=1.5, limit=POINT_LIMIT):
         """Scatter a complex array; deterministic stride thinning beyond
@@ -45,9 +83,8 @@ class SvgFigure:
         if limit and len(pts) > limit:
             stride = int(np.ceil(len(pts) / limit))
             pts = pts[::stride]
-        dot = "M%.2f %.2fv0"
         for k in range(0, len(pts), 10000):
-            d = self._path_data(pts[k:k + 10000], dot, dot)
+            d = self._path_data(pts[k:k + 10000], "M", "M", "v0")
             self.body.append(
                 f'<path d="{d}" stroke="{color}" '
                 f'stroke-width="{width}" stroke-linecap="round" fill="none"/>')
@@ -55,7 +92,7 @@ class SvgFigure:
     def add_polyline(self, pts, color="#444444", width=1.0, dashed=False,
                      closed=False):
         pts = np.asarray(pts, dtype=complex).ravel()
-        d = self._path_data(pts, "M%.2f %.2f", "L%.2f %.2f")
+        d = self._path_data(pts, "M", "L")
         if closed:
             d += "Z"
         dash = ' stroke-dasharray="7 5"' if dashed else ""

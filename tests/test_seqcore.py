@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopsign.seqcore import (DiagWord, SeqWindow, SignWord, c_iterate_word,
                              c_tilde, c_tilde_array, fixed_point_window,
                              gamma_minus_window, gamma_plus_window,
                              gamma_plus_word, hat_inversion, least_rotation,
-                             m_word)
+                             m_word, minimal_period, rotation_classes)
 
 seed = 42
 nwords = 25
@@ -57,6 +59,36 @@ def test_canonical_is_least_rotation():
     assert least_rotation(w.signs) == (-1, 1, 1, 1)
     rots = [least_rotation(tuple(np.roll(w.signs, -k))) for k in range(4)]
     assert all(r == rots[0] for r in rots)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(word=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=35),
+       times=st.integers(1, 4), rows=st.integers(1, 4))
+def test_rotation_classes_match_tuple_rotations(word, times, rows):
+    # repeated words of length up to 140 span several 64-bit code words
+    signs = tuple(word) * times
+    n = len(signs)
+    table = np.array([signs[j:] + signs[:j] for j in range(rows)])
+    k, period, codes = rotation_classes(table)
+    for row, kk, d, code in zip(map(tuple, table), k, period, codes):
+        rots = [row[j:] + row[:j] for j in range(n)]
+        assert kk == rots.index(min(rots))
+        assert d == n // rots.count(row)
+        bits = np.packbits(np.array(min(rots)) > 0).tobytes()
+        assert code.tobytes() == bits.ljust(8 * len(code), b"\0")
+    assert least_rotation(signs) == min(signs[j:] + signs[:j]
+                                        for j in range(n))
+    assert minimal_period(signs) == period[0]
+    assert period[0] == next(d for d in range(1, n + 1)
+                             if signs == signs[:d] * (n // d))
+
+
+def test_rotation_classes_compare_past_the_first_code_word():
+    # the rotations at 0 and 72 share their first 71 signs
+    signs = (-1,) * 70 + (1, 1) + (-1,) * 70 + (1,)
+    k, period, _ = rotation_classes([signs])
+    assert (k[0], period[0]) == (72, 143)
+    assert rotation_classes([signs * 2])[1][0] == 143
 
 
 def test_reduced_inverts_repeated():

@@ -9,8 +9,8 @@ from hopsign.metrics import (hausdorff, matched, matching_distance,
                              nn_distances, segment_distances)
 from hopsign.seqcore import (SignWord, c_iterate_word, least_rotation,
                              m_word)
-from hopsign.spectra import (SpectrumCloud, _assert_inclusion, _m_ring_stack,
-                             _periodic_stack, bloch_spectrum, build_finite,
+from hopsign.spectra import (SpectrumCloud, _assert_inclusion, _bloch_word,
+                             _m_ring_stack, _orbit_images, _periodic_stack, bloch_spectrum, build_finite,
                              build_periodic, closed_form_star,
                              enumerate_words, pi_union, random_finite_sample,
                              random_periodic_sample, square_spectrum_check,
@@ -516,6 +516,57 @@ def test_enumerate_words_counts_and_canonical_forms():
     assert [per[n] for n in range(1, 13)] == [necklace_count(n)
                                               for n in range(1, 13)]
     assert len(words) == 747
+
+
+def tuple_least_rotation(signs):
+    return min(signs[k:] + signs[:k] for k in range(len(signs)))
+
+
+def tuple_enumerate_words(n_max, sigma):
+    # the per-word loop enumerate_words replaced: sign i is bit i of bits,
+    # taken in ascending order
+    out = []
+    for n in range(1, n_max + 1):
+        for bits in range(2 ** n):
+            signs = tuple(1 if bits >> i & 1 else -1 for i in range(n))
+            rots = [signs[k:] + signs[:k] for k in range(n)]
+            if min(rots) == signs and rots.count(signs) == 1:
+                out.append(SignWord(signs, sigma))
+    return out
+
+
+def tuple_orbit_images(pos):
+    # the dict of least tuple rotations _orbit_images replaced
+    index = {tuple_least_rotation(tuple(p)): w
+             for w, p in enumerate(pos.tolist())}
+    return np.array([[index.get(tuple_least_rotation(tuple(q)), -1)
+                      for q in v.tolist()]
+                     for v in (pos, pos[:, ::-1], ~pos, ~pos[:, ::-1])])
+
+
+def test_enumerate_words_matches_tuple_rotations():
+    want = tuple_enumerate_words(12, 0.5)
+    assert [w.signs for w in enumerate_words(12, 0.5)] == [w.signs
+                                                          for w in want]
+
+
+@pytest.mark.parametrize("size", [4, 6, 7, 10, 12])
+def test_orbit_images_match_tuple_rotations(size):
+    pos = np.array([_bloch_word(w).signs for w in enumerate_words(12)
+                    if _bloch_word(w).period == size]) > 0
+    for rows in (pos, pos[::3]):  # every row's images, then some missing
+        table = _orbit_images(rows)
+        assert np.array_equal(table, tuple_orbit_images(rows))
+    assert (_orbit_images(pos[::3]) == -1).any()
+
+
+def test_pi_union_csv_unchanged_by_rotation_tables(tmp_path, monkeypatch):
+    pi_union(6, 0.5, 16).write_csv(tmp_path / "arrays.csv")
+    monkeypatch.setattr(spectra, "enumerate_words", tuple_enumerate_words)
+    monkeypatch.setattr(spectra, "_orbit_images", tuple_orbit_images)
+    pi_union(6, 0.5, 16).write_csv(tmp_path / "tuples.csv")
+    assert (tmp_path / "arrays.csv").read_bytes() == (
+        tmp_path / "tuples.csv").read_bytes()
 
 
 def test_pi_union_period_one_is_two_ellipses():

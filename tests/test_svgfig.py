@@ -2,9 +2,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopsign.spectra import SpectrumCloud
-from hopsign.svgfig import SvgFigure, add_overlays, cloud_figure
+from hopsign.spectra import SpectrumCloud, pi_union
+from hopsign.svgfig import SvgFigure, add_overlays, cloud_figure, fixed2
 
 
 def test_write_produces_parseable_svg(tmp_path):
@@ -94,3 +96,58 @@ def test_path_strings_golden():
         '<path d="M1.12 -0.38L-0.38 1.00L2.67 1.00Z" stroke="#444444" '
         'stroke-width="1.0" fill="none"/>',
     ]
+    # integer parts of 1 to 4 digits in one block; 99.9951 and 9.996 carry
+    # into a new digit
+    fig.body = []
+    fig.add_points(np.array([-0.5 + 0.999j, 11.5 - 98.9951j, 122.4 + 0.5j,
+                             -3 + 1j, 8.996 - 1233.5j]))
+    assert fig.body == [
+        '<path d="M0.50 0.00v0M12.50 100.00v0M123.40 0.50v0M-2.00 0.00v0'
+        'M10.00 1234.50v0"' + dots]
+
+
+def test_path_data_matches_per_float_format():
+    fig = SvgFigure()
+    pts = pi_union(6, 0.5, 32).points
+
+    def per_float(first, rest):  # the path formatter fixed2 replaced
+        xy = np.column_stack(fig._xy(pts)).ravel().tolist()
+        return (first + rest * (len(pts) - 1)) % tuple(xy)
+
+    assert fig._path_data(pts, "M", "M", "v0") == per_float("M%.2f %.2fv0",
+                                                            "M%.2f %.2fv0")
+    assert fig._path_data(pts, "M", "L") == per_float("M%.2f %.2f",
+                                                      "L%.2f %.2f")
+
+
+def fixed2_texts(values):
+    return [bytes(row[row != 0]).decode() for row in fixed2(values)]
+
+
+def test_fixed2_ties_carries_signs_and_specials():
+    k = np.arange(-100000, 100000)
+    for values in (k / 100 + 0.005, k / 8,
+                   [9.995, 99.995, 999.995, 9.999, 99.9951, -9.995, 0.995],
+                   [0.0, -0.0, -0.001, -0.004999, -0.005, -1e-300, -5e-324],
+                   [np.nan, -np.nan, np.inf, -np.inf, 1e7, -1e7 + 0.005,
+                    9999999.995, -1e300, 1e22, 2.0 ** 63],
+                   [1.5, -22.25, 333.125, 4444.75, -55555.5, 666666.25,
+                    7777777.125]):
+        values = np.array(values, dtype=float)
+        assert fixed2_texts(values) == ["%.2f" % v for v in values.tolist()]
+    assert fixed2(np.zeros(0)).shape[0] == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+def test_fixed2_matches_percent_format(values):
+    assert fixed2_texts(values) == ["%.2f" % v for v in values]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(st.tuples(st.integers(0, 6), st.floats(1.0, 9.999999),
+                                st.sampled_from([-1.0, 1.0])),
+                      min_size=7, max_size=40))
+def test_fixed2_mixed_integer_widths(parts):
+    values = [s * m * 10.0 ** e for e, m, s in parts]  # 1 to 7 digit parts
+    assert fixed2_texts(values) == ["%.2f" % v for v in values]
