@@ -20,14 +20,14 @@ from .transfer import RegionParams, det_residual
 
 # pi_union refuses periods above this: 2^N words per period N
 MAX_PERIOD = 14
-# write_csv formats this many rows per write, each distinct |value| of a chunk
-# once; on a sorted union, chunks of 1024 to 4096 rows find about as many
-# repeats, and the pieces held grow with the chunk
-CSV_CHUNK = 1024
+# write_csv builds this many rows at a time, in about 440 bytes of arrays a
+# row; on the union benchmark 4096 rows run as fast as 8192 and about 10%
+# faster than 1024, and none of the three raises its peak RSS
+CSV_CHUNK = 4096
 # pi_union and bloch_spectrum refuse a cloud that would not fit in memory at
 # this many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV
-# and SVG output peaks at 211.7 MiB RSS, 35.2 MiB after import, for 2,058,240
-# points (89.9 bytes a point)
+# and SVG output peaks at 210.7 MiB RSS, 35.3 MiB after import, for 2,058,240
+# points (89.4 bytes a point)
 BYTES_PER_POINT = 90
 # _periodic_spectra solves an even-N section with a root below this whole
 ROOT_FLOOR = 1 / 16
@@ -103,39 +103,112 @@ class SpectrumCloud:
         return self
 
     def write_csv(self, path, command=None):
-        with open(path, "w") as f:
-            f.write(f"# hopsign {__version__}\n")
-            if command:
-                f.write(f"# command: {command}\n")
-            f.write(f"# sigma = {self.sigma:.17g}\n")
-            if self.seed is not None:
-                f.write(f"# seed = {self.seed}\n")
-            for k in sorted(self.params):
-                f.write(f"# {k} = {self.params[k]}\n")
-            for wid in sorted(self.words):
-                f.write(f"# word {wid} {self.words[wid]}\n")
-            f.write("# columns: re, im, N, word_id, alpha_re, alpha_im\n")
-            tails = np.array([b"%.17g, %.17g\n" % (z.real, z.imag)
-                              for z in self.twists.tolist()], dtype=object)
-            pts, wid, tw, nn = self.points, self.word_id, self.twist, self.N
+        # the command is escaped to one line, so every header line is a comment
+        head = [f"hopsign {__version__}",
+                command and "command: " + command.translate(
+                    {ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r"}),
+                f"sigma = {self.sigma:.17g}",
+                self.seed is not None and f"seed = {self.seed}",
+                *(f"{k} = {self.params[k]}" for k in sorted(self.params)),
+                *(f"word {w} {self.words[w]}" for w in sorted(self.words)),
+                "columns: re, im, N, word_id, alpha_re, alpha_im"]
+        head = "".join(f"# {h}\n" for h in head if h).encode()
+        tails = _byte_rows([b", %.17g, %.17g\n" % (z.real, z.imag)
+                            for z in self.twists.tolist()])
+        pts, wid, tw, nn = self.points, self.word_id, self.twist, self.N
+        with open(path, "wb") as f:
+            f.write(head)
             for lo in range(0, len(pts), CSV_CHUNK):
                 s = slice(lo, lo + CSV_CHUNK)
-                # one piece per distinct |value|, N or word id, and twist of
-                # the chunk; the sign bit, not the value, picks "-" + digits,
-                # so -0.0 prints "-0" while each magnitude is formatted once
-                v = pts[s].view(float)
-                x, ix = np.unique(np.abs(v), return_inverse=True)
+                # zero-padded rows: re, ", ", im, ", %d" of N and word id
+                # from one table per chunk, and the twist's tail
+                num = g17(pts[s].view(float)).reshape(-1, 48)
                 k, ik = np.unique(np.r_[nn[s], wid[s]], return_inverse=True)
-                t, it = np.unique(tw[s], return_inverse=True)
-                digits = [b"%.17g, " % m for m in x.tolist()]
-                table = np.array(digits + [b"-" + d for d in digits]
-                                 + [b"%d, " % i for i in k.tolist()]
-                                 + tails[t].tolist(), dtype=object)
-                ix += len(x) * np.signbit(v)
-                ids = np.column_stack((ix.reshape(-1, 2),
-                                       ik.reshape(2, -1).T + 2 * len(x),
-                                       it + 2 * len(x) + len(k)))
-                f.write(b"".join(table[ids.ravel()].tolist()).decode())
+                ints = _byte_rows([b", %d" % i for i in k.tolist()])
+                m = len(num)
+                rows = np.concatenate(
+                    (num[:, :24], np.broadcast_to(_COMMA, (m, 2)), num[:, 24:],
+                     ints[ik.reshape(2, m).T].reshape(m, -1), tails[tw[s]]),
+                    axis=1)
+                f.write(rows[rows != 0])
+
+
+_COMMA = np.frombuffer(b", ", np.uint8)
+
+
+def _byte_rows(pieces):
+    """A list of bytes as the zero-padded rows of a uint8 array."""
+    a = np.array(pieces, dtype=bytes)
+    return a.view(np.uint8).reshape(len(a), a.itemsize)
+
+
+def _split(a):
+    """Veltkamp's split a = high + low into halves of 26 bits or fewer, whose
+    products are exact floats."""
+    c = a * 134217729.0  # 2^27 + 1
+    return c - (c - a), a - (c - (c - a))
+
+
+_POW10 = _split(np.array([float(10 ** k) for k in range(21)]))
+
+
+def _digits17(x):
+    """(D, E, exact) for a float array x >= 0: E = floor(log10 x) makes
+    10^(16 - E) an exact float, hi + lo is Dekker's exact product of the
+    two, and D, its 17 digits, rounds it half to even, as Python's dtoa
+    does.  exact is false where x lies outside [1e-4, 1e17) or log10 was
+    wrong, which leaves hi + lo outside [1e16, 1e17)."""
+    exact = (x >= 1e-4) & (x < 1e17)
+    x = np.where(exact, x, 1.0)
+    e = np.floor(np.log10(x)).astype(np.int32).clip(-4, 16)
+    (xh, xl), (ph, pl) = _split(x), (t.take(16 - e) for t in _POW10)
+    hi = x * (ph + pl)
+    lo = xh * ph - hi + xh * pl + xl * ph + xl * pl
+    f = np.floor(lo)
+    d = hi.astype(np.int64) + f.astype(np.int64)
+    d += (lo - f > 0.5) | (lo - f == 0.5) & (d % 2 == 1)
+    # a log10 one too large leaves hi + lo below 1e16, one too small leaves
+    # D >= 10^17 (no float of the range rounds up to 10^17 itself)
+    exact &= ((hi > 1e16) | (hi == 1e16) & (lo >= 0)) & (d < 10 ** 17)
+    return d, e, exact
+
+
+def g17(values):
+    """The "%.17g" text of each value of a float array as the zero-padded rows
+    of a (len, 24) uint8 array; the sign bit gives the "-", so -0.0 prints -0.
+    Zeros and the values _digits17 gives exactly are laid out from D and E;
+    the others take Python's "%.17g"."""
+    v = np.asarray(values, dtype=float).ravel()
+    d, e, fast = _digits17(np.abs(v))
+    zero = v == 0
+    d[zero], fast[zero] = 0, True  # D = 0 prints "0" at E = 0
+    # rows 1..21 of z: Z, four zeros then D's digits from two int32 halves,
+    # so that Z[4 + E] is the last integer digit
+    z = np.zeros((23, len(v)), np.uint8)
+    a = (d // 10 ** 9).astype(np.int32)
+    q = (d - a * np.int64(10 ** 9)).astype(np.int32)
+    for row in range(21, 4, -1):
+        t = q // 10
+        np.subtract(q, 10 * t, out=z[row], casting="unsafe")
+        q = a if row == 13 else t
+    j = np.arange(22, dtype=np.uint8)[:, None]
+    nz = ((z[5:22] != 0) * j[1:18]).max(0)  # D's digits to the last nonzero
+    z += ord("0")
+    # text column j is Z[j] up to c = 4 + E, "." and then Z[j - 1]; the text
+    # starts at the "0" before the "." when E < 0 and ends at the last
+    # nonzero fraction digit, or at c if there is none
+    c = (4 + e).astype(np.uint8)
+    text = z[:-1] + (z[1:] - z[:-1]) * (j <= c).view(np.uint8)
+    text[c + 1, np.arange(len(v))] = ord(".")
+    text *= ((j >= np.minimum(c, 4))
+             & (j <= np.where(3 + nz > c, 4 + nz, c))).view(np.uint8)
+    buf = np.zeros((len(v), 24), np.uint8)
+    buf[:, 0] = np.signbit(v) * ord("-")
+    buf[:, 1:23] = text.T
+    slow = np.flatnonzero(~fast)
+    texts = np.array([b"%.17g" % y for y in v[slow].tolist()], "S24")
+    buf[slow] = texts.view(np.uint8).reshape(-1, 24)
+    return buf
 
 
 def _band(sub, diag=0.0):
@@ -533,12 +606,18 @@ def ue_bound_check(lam, i_max):
     if not 1 <= i_max <= 10 ** 6:
         raise ValueError("i_max must be in [1, 10^6]")
     ct = c_tilde_array(max(1, i_max - 1))
-    prev = np.zeros_like(lam)
-    cur = np.ones_like(lam)
-    top = np.ones(lam.shape)
-    for n in range(1, i_max):
-        prev, cur = cur, lam * cur - float(ct[n]) * prev
-        np.maximum(top, np.abs(cur), out=top)
+    # u[k] = u_(lo - 1 + k) over a block of steps; c~_n = +-1, so a step is a
+    # product and a subtraction or addition, and the max is taken per block
+    block = max(1, min(i_max - 1, 2 ** 13 // max(lam.size, 1)))
+    u = np.zeros((block + 2, lam.size), complex)
+    u[1], top, flat = 1.0, np.ones(lam.size), lam.ravel()
+    for lo in range(1, i_max, block):
+        for k, c in enumerate(ct[lo:min(lo + block, i_max)].tolist()):
+            np.multiply(flat, u[k + 1], out=u[k + 2])
+            (np.subtract if c > 0 else np.add)(u[k + 2], u[k], out=u[k + 2])
+        np.maximum(top, np.abs(u[2:k + 3]).max(0), out=top)
+        u[:2] = u[k + 1:k + 3]
+    top = top.reshape(lam.shape)
     bound = 1.0 / (1.0 - np.abs(lam))
     return {"max_abs": top, "bound": bound, "ok": top <= bound + 1e-9}
 

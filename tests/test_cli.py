@@ -76,6 +76,24 @@ def test_pi_union_outputs(tmp_path, capsys):
     assert (tmp_path / "pi.csv").read_bytes() == first
 
 
+def test_csv_header_escapes_newlines_in_arguments(tmp_path, capsys):
+    # a newline, carriage return or backslash in an argument stays on the
+    # "# command:" line, so the header stays comments and the rows load
+    csv = tmp_path / "a\nb\\c\rd.csv"
+    assert main(["pi-union", "--nmax", "2", "--alpha-count", "4",
+                 "--out-csv", str(csv)]) == 0
+    capsys.readouterr()
+    lines = csv.read_bytes().decode().split("\n")
+    head = [line for line in lines if line.startswith("#")]
+    rows = [line for line in lines[len(head):] if line]
+    assert lines[:len(head)] == head and len(rows) == 48
+    quoted = str(csv).replace("\\", "\\\\").replace("\n", "\\n")
+    assert head[1] == ("# command: hopsign pi-union --nmax 2 --alpha-count 4 "
+                       "--out-csv '" + quoted.replace("\r", "\\r") + "'")
+    data = np.loadtxt(csv, delimiter=",", comments="#", ndmin=2)
+    assert data.shape == (48, 6)
+
+
 def test_sample_requires_seed():
     with pytest.raises(SystemExit):
         main(["sample", "--count", "2"])

@@ -7,8 +7,8 @@ from hopsign import __version__, spectra
 from hopsign.eigen import eigvals, eigvals_stack, oracle_eigvals
 from hopsign.metrics import (hausdorff, matched, matching_distance,
                              nn_distances, segment_distances)
-from hopsign.seqcore import (SignWord, c_iterate_word, least_rotation,
-                             m_word)
+from hopsign.seqcore import (SignWord, c_iterate_word, c_tilde_array,
+                             least_rotation, m_word)
 from hopsign.spectra import (SpectrumCloud, _assert_inclusion, _bloch_word,
                              _m_ring_stack, _orbit_images, _periodic_stack, bloch_spectrum, build_finite,
                              build_periodic, closed_form_star,
@@ -238,12 +238,15 @@ def _wide_tag_cloud():
     return c
 
 
-@pytest.mark.parametrize("make", [lambda: pi_union(4, 0.5, 8),
-                                  _signed_zero_cloud, _wide_tag_cloud],
-                         ids=["pi_union", "signed_zero", "wide_tags"])
+@pytest.mark.parametrize("make", [
+    lambda: pi_union(4, 0.5, 8), _signed_zero_cloud, _wide_tag_cloud,
+    lambda: random_periodic_sample(40, (3, 30), 0.5, 0.5, 1),
+    lambda: SpectrumCloud(0.5)],
+    ids=["pi_union", "signed_zero", "wide_tags", "sample", "empty"])
 def test_cloud_csv_matches_per_row_format(tmp_path, make):
-    # write_csv formats each distinct value once per chunk; its rows equal
-    # a per-row %-format of every column
+    # write_csv formats values by array arithmetic and ints once per chunk;
+    # its rows equal a per-row %-format of every column.  The unsorted sample
+    # holds values below 1e-4, which take the "%.17g" fallback
     c = make()
     c.write_csv(tmp_path / "r.csv")
     rows = [r for r in (tmp_path / "r.csv").read_text().splitlines()
@@ -252,6 +255,49 @@ def test_cloud_csv_matches_per_row_format(tmp_path, make):
         z.real, z.imag, n, w, a.real, a.imag) for z, n, w, a in zip(
         c.points.tolist(), c.N.tolist(), c.word_id.tolist(),
         c.alpha.tolist())]
+
+
+def g17_texts(values):
+    return [bytes(row[row != 0]).decode() for row in spectra.g17(values)]
+
+
+def test_g17_powers_ties_and_specials():
+    # powers of ten and their neighbours, on which log10 can land on the
+    # wrong side; the float below each power stays below it in 17 digits
+    p = np.array([10.0 ** k for k in range(-6, 0)]
+                 + [float(10 ** k) for k in range(19)])
+    ties = [c + j * 2.0 ** (e - 17) for j in range(1, 12, 2)
+            for e, c in ((-1, 0.5), (0, 1.0), (1, 10.0), (2, 100.0))]
+    for values in (p, -p, np.nextafter(p, 0), np.nextafter(p, np.inf),
+                   np.nextafter(np.nextafter(p, 0), 0), ties,
+                   [1 + 2 ** -17, 1 + 3 * 2 ** -17, 0.1, 1 / 3, 2 / 3, -2.5],
+                   [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    1e16 - 2, 1e16 + 2, 2.0 ** 53 + 2, 1e17 - 16, 100.0,
+                    1020.0, -7000.25, 10.5, 123456789012345.0,
+                    99999999999999984.0],
+                   [np.nan, np.inf, -np.inf, 1e300, -1e-300, 1e-5]):
+        values = np.array(values, dtype=float)
+        assert g17_texts(values) == ["%.17g" % v for v in values.tolist()]
+    assert g17_texts([1 + 2 ** -17, 1 + 3 * 2 ** -17]) == [
+        "1.0000076293945312", "1.0000228881835938"]  # ties go to even
+    assert spectra.g17(np.zeros(0)).shape == (0, 24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=40))
+def test_g17_matches_percent_format(values):
+    assert g17_texts(values) == ["%.17g" % v for v in values]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(st.tuples(st.integers(-6, 18),
+                                st.floats(1.0, 10.0, exclude_max=True),
+                                st.sampled_from([-1.0, 1.0])),
+                      min_size=1, max_size=60))
+def test_g17_mixed_exponents(parts):
+    values = [s * m * 10.0 ** e for e, m, s in parts]
+    assert g17_texts(values) == ["%.17g" % v for v in values]
 
 
 @pytest.mark.parametrize("lead", [0, spectra.CSV_CHUNK - 2])
@@ -793,6 +839,29 @@ def test_square_spectrum_check_small_word():
     assert res["per_alpha_mismatch"] < 1e-9
     with pytest.raises(ValueError):
         square_spectrum_check(SignWord((1,) * 9, 0.25), 8)
+
+
+def _ue_max_loop(lam, i_max):  # the per-step loop ue_bound_check replaced
+    lam = np.asarray(lam, dtype=complex)
+    ct = c_tilde_array(max(1, i_max - 1))
+    prev, cur = np.zeros_like(lam), np.ones_like(lam)
+    top = np.ones(lam.shape)
+    for n in range(1, i_max):
+        prev, cur = cur, lam * cur - float(ct[n]) * prev
+        np.maximum(top, np.abs(cur), out=top)
+    return top
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(polar=st.lists(st.tuples(st.floats(0, 0.985), st.floats(0, 7)),
+                      min_size=1, max_size=12),
+       i_max=st.sampled_from([1, 2, 3, 7, 300]) | st.integers(1, 3000))
+def test_ue_bound_check_matches_step_loop(polar, i_max):
+    lam = np.array([r * np.exp(1j * t) for r, t in polar], dtype=complex)
+    for lam in (lam, lam[:0], lam.reshape(-1, 1)[:2], lam[0]):
+        got = ue_bound_check(lam, i_max)["max_abs"]
+        want = _ue_max_loop(lam, i_max)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_ue_bound_check_scalar_and_array():
