@@ -12,4 +12,14 @@ Bloch-decomposition unions over twisted periodic matrices.
 
 __version__ = "0.1.0"
 
-from . import seqcore, polyalg, transfer, eigen, spectra  # noqa: F401
+
+def one_line(command):
+    """command as one line that encodes to UTF-8: backslash, newline and CR
+    escaped, and each byte of a non-UTF-8 file name (os.fsdecode's lone
+    surrogate) as \\xNN."""
+    return command.translate(
+        {ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r"}).encode(
+            "utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
+from . import seqcore, polyalg, transfer, eigen, spectra  # noqa: E402, F401

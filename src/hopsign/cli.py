@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from . import one_line
 from .eigen import SolverFailure
 from .metrics import segment_distances
 from .polyalg import p_table, trace_poly, uv_polys, verify_identities
@@ -37,12 +38,12 @@ def _emit(cloud, args, default_overlays="", tag=None, figure=None):
                         for p in (args.out_csv, args.out_svg))
     if out_csv:
         cloud.write_csv(out_csv, command=args.command_line)
-        print(f"wrote {out_csv}")
+        print(f"wrote {one_line(out_csv)}")
     if out_svg:
         overlay = args.overlay if args.overlay is not None else default_overlays
         fig = (figure or cloud_figure)(cloud, overlay)
         fig.write(out_svg, command=args.command_line)
-        print(f"wrote {out_svg}")
+        print(f"wrote {one_line(out_svg)}")
 
 
 def _derived_path(path, tag):
@@ -189,8 +190,8 @@ def _check_p_table():
     table = p_table(top)
     u, _ = uv_polys(top)
     bad = int(np.any(table.p[1:, 1:] != u[1:top + 1, :top], axis=1).sum())
-    bad += sum(table.p[i, 1] != table.constant_coefficient(i)
-               for i in range(1, top + 1))
+    bad += int(np.count_nonzero(
+        table.p[1:, 1] != table.constant_coefficients()[1:]))
     return bad == 0, float(bad), f"rows 1..{top} against the u recurrence"
 
 

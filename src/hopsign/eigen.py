@@ -52,9 +52,9 @@ def eigvals_stack(mats):
 
 
 def sort_rows(w):
-    """Each row of a (B, n) array sorted by (real, imag)."""
-    order = np.lexsort((w.imag, w.real), axis=1)
-    return np.take_along_axis(w, order, axis=1)
+    """Each row of a (B, n) array sorted by (real, imag), ties (-0.0 and 0.0
+    too) in their input order: numpy's stable complex sort."""
+    return np.sort(w, axis=1, kind="stable")
 
 
 def eigvals(m):

@@ -83,20 +83,20 @@ class PTable:
         self.i_max = i_max
         self.p = p
 
-    def constant_coefficient(self, i):
-        """gamma_i = p[i, 1] from the product formula
+    def constant_coefficients(self):
+        """gamma_i = p[i, 1] for i = 0 .. i_max from the product formula
         gamma_{2m+1} = prod_{r=1..m} (-c~_{2r}), gamma_{2m} = 0,
         which follows from the recurrence gamma_{r+1} = -c~_r gamma_{r-1}
         at lambda = 0.  Used as a cross-check on the table itself.
         """
-        if i % 2 == 0:
-            return 0
-        m = (i - 1) // 2
-        ct = c_tilde_array(max(2 * m, 1))
-        g = 1
-        for r in range(1, m + 1):
-            g *= -int(ct[2 * r])
+        g = np.zeros(self.i_max + 1, dtype=np.int8)
+        ct = c_tilde_array(max(self.i_max - 1, 1))
+        g[1::2] = np.cumprod(np.r_[1, -ct[2::2]], dtype=np.int8)
         return g
+
+    def constant_coefficient(self, i):
+        """gamma_i for 0 <= i <= i_max; see constant_coefficients."""
+        return int(self.constant_coefficients()[i])
 
 
 def p_table(i_max):

@@ -52,8 +52,8 @@ def rotation_classes(rows):
     n = pos.shape[1]
     rot = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([pos, pos[:, :-1]], axis=1), n, axis=1)  # [w, k, :]
-    codes = np.packbits(rot, axis=2)
-    codes = np.pad(codes, [(0, 0), (0, 0), (0, -codes.shape[2] % 8)])
+    codes = np.zeros(rot.shape[:2] + (-(-n // 64) * 8,), np.uint8)
+    codes[..., :-(-n // 8)] = np.packbits(rot, axis=2)
     codes = codes.view(">u8")  # [w, k, word]
     least = np.ones(rot.shape[:2], bool)
     for col in np.moveaxis(codes, 2, 0):

@@ -8,14 +8,16 @@ finite alpha grid that union becomes a point cloud.  The open (truncated)
 section A^(N)_c simply drops the corners.
 """
 
+from itertools import compress
+
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import __version__
+from . import __version__, one_line
 from .eigen import SolverFailure, eigvals, eigvals_stack, sort_rows
 from .metrics import hausdorff, matching_distance, nn_distances
 from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
-                      least_rotation, m_word, rotation_classes, sign_pattern)
+                      m_word, rotation_classes, sign_pattern)
 from .transfer import RegionParams, det_residual
 
 # pi_union refuses periods above this: 2^N words per period N
@@ -26,8 +28,8 @@ MAX_PERIOD = 14
 CSV_CHUNK = 4096
 # pi_union and bloch_spectrum refuse a cloud that would not fit in memory at
 # this many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV
-# and SVG output peaks at 210.7 MiB RSS, 35.3 MiB after import, for 2,058,240
-# points (89.4 bytes a point)
+# and SVG output peaks at 211.2 MiB RSS, 35.6 MiB after import, for 2,058,240
+# points (89.5 bytes a point)
 BYTES_PER_POINT = 90
 # _periodic_spectra solves an even-N section with a root below this whole
 ROOT_FLOOR = 1 / 16
@@ -91,12 +93,14 @@ class SpectrumCloud:
     def sort(self):
         """Reorder all columns by (re, im, N, word_id, twist value); makes
         output independent of generation order.  Equal twist values (0.0 and
-        -0.0 too) share a rank, so their rows keep insertion order."""
+        -0.0 too) share a rank, so their rows keep insertion order.  numpy
+        orders complex values by (re, im) with -0.0 equal to 0.0, so a stable
+        sort of the points, taken in tag order, is that 5-key lexsort."""
         cols = [self.points, self.word_id, self.twist, self.N]
         self._blocks = []  # the columns hold the only copy from here on
         rank = np.unique(self.twists, return_inverse=True)[1].astype(np.int32)
-        order = np.lexsort((rank[cols[2]], cols[1], cols[3],
-                            cols[0].imag, cols[0].real))
+        order = np.lexsort((rank[cols[2]], cols[1], cols[3]))
+        order = order[np.argsort(cols[0][order], kind="stable")]
         for k in range(4):  # one reordered column alive at a time
             cols[k] = cols[k][order, None]
         self._blocks = [tuple(cols)]
@@ -105,8 +109,7 @@ class SpectrumCloud:
     def write_csv(self, path, command=None):
         # the command is escaped to one line, so every header line is a comment
         head = [f"hopsign {__version__}",
-                command and "command: " + command.translate(
-                    {ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r"}),
+                command and "command: " + one_line(command),
                 f"sigma = {self.sigma:.17g}",
                 self.seed is not None and f"seed = {self.seed}",
                 *(f"{k} = {self.params[k]}" for k in sorted(self.params)),
@@ -130,7 +133,7 @@ class SpectrumCloud:
                     (num[:, :24], np.broadcast_to(_COMMA, (m, 2)), num[:, 24:],
                      ints[ik.reshape(2, m).T].reshape(m, -1), tails[tw[s]]),
                     axis=1)
-                f.write(rows[rows != 0])
+                f.write(rows.tobytes().translate(None, b"\0"))
 
 
 _COMMA = np.frombuffer(b", ", np.uint8)
@@ -636,8 +639,14 @@ def symmetry_check(cloud, tol=1e-8):
     rot_max = float(nn_distances(1j * pts, pts).max())
     rev_max = flip_max = 0.0
     alphas = unit_grid(64)[:, None]
-    for w in enumerate_words(7, cloud.sigma):
-        if least_rotation(w.signs[::-1]) > w.signs:
+    words = enumerate_words(7, cloud.sigma)
+    for period in range(1, 8):
+        group = [w for w in words if w.period == period]
+        # each word is its least rotation, and a code of <= 64 signs is one
+        # word ordered as the signs are: keep w if its reversal's comes later
+        s = np.array([w.signs for w in group])
+        own, rev = (rotation_classes(x)[2][:, 0] for x in (s, s[:, ::-1]))
+        for w in compress(group, rev > own):
             c, n = np.array(w.cvals()), w.period
             lam = _periodic_spectra(c, alphas[:, 0])
             res = [float(det_residual(word, np.roll(alphas, shift, 0), z).max())

@@ -13,6 +13,7 @@ from html import escape
 
 import numpy as np
 
+from . import one_line
 from .transfer import RegionParams, hole_boundary_radius, rho_curve
 
 POINT_LIMIT = 200000
@@ -74,7 +75,7 @@ class SvgFigure:
         buf[:, m] = ord(" ")
         buf[2::2, :m + 1] = np.frombuffer((end + rest).encode(), np.uint8)
         buf[0, m] = ord(first)
-        return buf[buf != 0].tobytes().decode() + end
+        return buf.tobytes().translate(None, b"\0").decode() + end
 
     def add_points(self, pts, color="#1f3a93", width=1.5, limit=POINT_LIMIT):
         """Scatter a complex array; deterministic stride thinning beyond
@@ -120,15 +121,18 @@ class SvgFigure:
                              f'{t:g}</text>')
 
     def write(self, path, command=None):
-        with open(path, "w") as f:
+        """Write the figure in UTF-8, as its prolog declares; the command
+        line is escaped to text that encodes before the file is opened."""
+        # a desc element, not an XML comment: command lines contain "--",
+        # which is forbidden inside comments
+        desc = command and escape(one_line(command), False)
+        with open(path, "w", encoding="utf-8") as f:
             f.write('<?xml version="1.0" encoding="UTF-8"?>\n')
             f.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
                     f'width="{self.size}" height="{self.size}" '
                     f'viewBox="0 0 {self.size} {self.size}">\n')
-            if command:
-                # a desc element, not an XML comment: command lines contain
-                # "--", which is forbidden inside comments
-                f.write(f"<desc>command: {escape(command, False)}</desc>\n")
+            if desc:
+                f.write(f"<desc>command: {desc}</desc>\n")
             f.write(f'<rect width="{self.size}" height="{self.size}" '
                     f'fill="white"/>\n')
             f.write(f'<rect x="{self.margin}" y="{self.margin}" '

@@ -94,6 +94,21 @@ def test_csv_header_escapes_newlines_in_arguments(tmp_path, capsys):
     assert data.shape == (48, 6)
 
 
+def test_outputs_named_by_bytes_that_are_not_utf8(tmp_path, capsys):
+    # such a name reaches argv as a lone surrogate; both headers show the
+    # byte as \xff, and the SVG is written as the UTF-8 its prolog declares
+    csv, svg = (str(tmp_path / os.fsdecode(b"\xff" + ext))
+                for ext in (b".csv", b".svg"))
+    assert main(["pi-union", "--nmax", "2", "--alpha-count", "4",
+                 "--out-csv", csv, "--out-svg", svg]) == 0
+    capsys.readouterr()
+    shown = os.fsencode(csv).decode("utf-8", "backslashreplace")
+    head = open(csv, "rb").read().decode().split("\n")[1]
+    assert head.startswith("# command: ") and shown in head
+    desc = ET.parse(svg).getroot().find("{http://www.w3.org/2000/svg}desc")
+    assert "\\xff.csv" in desc.text and "\\xff.svg" in desc.text
+
+
 def test_sample_requires_seed():
     with pytest.raises(SystemExit):
         main(["sample", "--count", "2"])

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopsign.eigen import eigvals, eigvals_stack, oracle_eigvals
+from hopsign.eigen import eigvals, eigvals_stack, oracle_eigvals, sort_rows
 from hopsign.metrics import matching_distance
 from hopsign.spectra import build_finite, build_periodic
 
@@ -91,6 +93,24 @@ def test_output_sorted_with_imag_tiebreak():
     w = np.array(eigvals(np.diag([1.0 + 1j, 1.0 - 1j, 0.5])))
     assert w[0] == 0.5
     assert w[1].imag < w[2].imag
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sort_rows_matches_lexsort_bitwise(data):
+    # rows longer than numpy's 16-element insertion sort, whose real parts
+    # tie (+-0.0 among them) and whose points come in conjugate pairs
+    rows, half = data.draw(st.integers(1, 6)), data.draw(st.integers(9, 24))
+    parts = st.sampled_from([0.0, -0.0, 0.25, -1.0])
+    re = np.array(data.draw(st.lists(parts, min_size=rows * half,
+                                     max_size=rows * half)))
+    im = np.array(data.draw(st.lists(parts, min_size=rows * half,
+                                     max_size=rows * half)))
+    z = np.stack([re, im], axis=-1).view(complex).reshape(rows, half)
+    w = np.concatenate([z, np.conj(z)], axis=1)
+    got = sort_rows(w)
+    want = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=1), 1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_similarity_invariance():

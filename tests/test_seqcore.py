@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopsign.seqcore import (DiagWord, SeqWindow, SignWord, c_iterate_word,
@@ -61,9 +61,23 @@ def test_canonical_is_least_rotation():
     assert all(r == rots[0] for r in rots)
 
 
+def _signs(n):
+    return np.random.default_rng(n).choice([-1, 1], n).tolist()
+
+
+# n = 1, 8, 9, 63, 64, 65, 128 and 129: each side of a byte and of a 64-bit
+# code word
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(word=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=35),
        times=st.integers(1, 4), rows=st.integers(1, 4))
+@example(word=[1], times=1, rows=1)
+@example(word=_signs(8), times=1, rows=4)
+@example(word=_signs(3), times=3, rows=3)
+@example(word=_signs(63), times=1, rows=4)
+@example(word=_signs(32), times=2, rows=4)
+@example(word=_signs(65), times=1, rows=4)
+@example(word=_signs(64), times=2, rows=4)
+@example(word=_signs(43), times=3, rows=4)
 def test_rotation_classes_match_tuple_rotations(word, times, rows):
     # repeated words of length up to 140 span several 64-bit code words
     signs = tuple(word) * times

@@ -153,6 +153,48 @@ def test_cloud_sort_is_generation_order_independent():
     assert np.array_equal(a.alpha, b.alpha)
 
 
+def lexsort_reference(cloud):
+    """The columns in the order of the 5-key lexsort by (re, im, N, word_id,
+    twist value rank) that SpectrumCloud.sort used before its complex sort."""
+    cols = [cloud.points, cloud.word_id, cloud.twist, cloud.N]
+    rank = np.unique(cloud.twists, return_inverse=True)[1]
+    order = np.lexsort((rank[cols[2]], cols[1], cols[3],
+                        cols[0].imag, cols[0].real))
+    return [col[order] for col in cols]
+
+
+# few distinct coordinates, both zeros among them, so (re, im) ties abound
+# within a block and across blocks, words and twists
+TIE_PARTS = [0.0, -0.0, 0.5, -0.5, 1.0]
+TWISTS = [1 + 0j, complex(1, -0.0), -1 + 0j, complex(-1, -0.0), 1j,
+          complex(-0.0, 1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cloud_sort_matches_five_key_lexsort(data):
+    twists = data.draw(st.lists(st.sampled_from(TWISTS), min_size=1,
+                                max_size=6))
+    cloud = SpectrumCloud(0.5, twists)
+    tags = st.integers(0, len(twists) - 1)
+    for _ in range(data.draw(st.integers(1, 5))):
+        rows, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        parts = data.draw(st.lists(st.sampled_from(TIE_PARTS),
+                                   min_size=2 * rows * n,
+                                   max_size=2 * rows * n))
+        word = data.draw(st.integers(0, 2) | st.lists(
+            st.integers(0, 2), min_size=rows, max_size=rows))
+        twist = data.draw(tags | st.lists(tags, min_size=rows,
+                                          max_size=rows))
+        cloud.add(np.array(parts).view(complex).reshape(rows, n), word,
+                  twist, data.draw(st.integers(3, 4)))
+    want = lexsort_reference(cloud)
+    cloud.sort()
+    got = [cloud.points, cloud.word_id, cloud.twist, cloud.N]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_cloud_csv_header_and_determinism(tmp_path):
     c = SpectrumCloud(0.5, params={"alpha_count": 2}, seed=7)
     c.register_word(0, "+-")
