@@ -94,10 +94,6 @@ class PTable:
         g[1::2] = np.cumprod(np.r_[1, -ct[2::2]], dtype=np.int8)
         return g
 
-    def constant_coefficient(self, i):
-        """gamma_i for 0 <= i <= i_max; see constant_coefficients."""
-        return int(self.constant_coefficients()[i])
-
 
 def p_table(i_max):
     """Coefficient table for u_1 .. u_{i_max}; see PTable."""

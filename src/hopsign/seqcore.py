@@ -63,12 +63,6 @@ def rotation_classes(rows):
     return k, n // fixed, codes[np.arange(len(k)), k]
 
 
-def least_rotation(signs):
-    """Lexicographically least rotation of a sign tuple."""
-    k = rotation_classes([signs])[0][0]
-    return tuple(signs[k:]) + tuple(signs[:k])
-
-
 def minimal_period(signs):
     """Smallest d dividing len(signs) such that signs repeats its first d
     entries."""

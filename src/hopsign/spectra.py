@@ -334,14 +334,6 @@ def closed_form_star(m, branch):
     return np.zeros_like(ends), ends
 
 
-def _bloch_word(word):
-    """Matrix form of a word: periods 1 and 2 are doubled to 4 (the operator
-    is unchanged; the section just needs N >= 3)."""
-    if word.period < 3:
-        return word.repeated(4 // word.period)
-    return word
-
-
 def _orbit_images(pos):
     """(4, W) table: at [a + 2 b, w], the row of pos (W, n), a bool array of
     + signs with rows distinct up to rotation, that equals row w reversed a
@@ -393,26 +385,45 @@ def _orbit_spectra(cs, alpha_count):
     return out.reshape(rows, alpha_count, n)
 
 
-def bloch_spectrum(word, alpha_count):
-    """Union of periodised-section spectra over the uniform alpha grid;
+def _bloch_union(words, alpha_count, params):
+    """Unsorted union of the periodised-section spectra of the words (one
+    sigma) at the alpha_count twists of unit_grid, word id = list index.
+    Periods 1 and 2 are repeated to 4 (the operator is unchanged; the
+    section just needs N >= 3), and the words of one size share one
+    _orbit_spectra call, so reversals and sign flips cost no solve.
     ValueError before the twist grid is built when the cloud, at
     BYTES_PER_POINT a point, would exceed the available memory."""
-    w = _bloch_word(word)
-    points = alpha_count * w.period
+    by_size = {}
+    for wid, word in enumerate(words):
+        c = word.cvals(word.period if word.period > 2 else 4)
+        by_size.setdefault(len(c), []).append((wid, c))
+    points = alpha_count * sum(n * len(group) for n, group in by_size.items())
     _require_memory(points * BYTES_PER_POINT, f"{points} points")
-    cloud = SpectrumCloud(word.sigma, unit_grid(alpha_count),
-                          params={"alpha_count": alpha_count})
-    cloud.register_word(0, sign_pattern(word.signs))
-    eig = _orbit_spectra([w.cvals()], alpha_count)
-    cloud.add(eig[0], 0, np.arange(alpha_count), w.period)
+    cloud = SpectrumCloud(words[0].sigma, unit_grid(alpha_count),
+                          params=params)
+    for wid, word in enumerate(words):
+        cloud.register_word(wid, sign_pattern(word.signs))
+    for size in sorted(by_size):
+        wids, cs = zip(*by_size[size])
+        eig = _orbit_spectra(cs, alpha_count)
+        cloud.add(eig.reshape(-1, size), np.repeat(wids, alpha_count),
+                  np.tile(np.arange(alpha_count), len(wids)), size)
     return cloud
+
+
+def bloch_spectrum(word, alpha_count):
+    """Union of periodised-section spectra over the uniform alpha grid: the
+    one-word _bloch_union."""
+    return _bloch_union([word], alpha_count, {"alpha_count": alpha_count})
 
 
 def enumerate_words(n_max, sigma=1.0):
     """One representative per rotation class of each primitive word of
-    period <= n_max, in (period, lexicographic) order.  Primitive means the
-    minimal period equals the length, so every periodic sequence of period
-    <= n_max appears exactly once."""
+    period <= n_max, its least rotation, by period and within a period in
+    ascending order of the integer whose bit i is sign i > 0 (the first sign
+    least significant); pi_union's word ids, and so the CSVs, follow this
+    order.  Primitive means the minimal period equals the length, so every
+    periodic sequence of period <= n_max appears exactly once."""
     out = []
     for n in range(1, n_max + 1):
         bits = np.arange(2 ** n)[:, None] >> np.arange(n) & 1  # sign i: bit i
@@ -423,34 +434,15 @@ def enumerate_words(n_max, sigma=1.0):
 
 
 def pi_union(n_max, sigma, alpha_count):
-    """Union of bloch_spectrum over every periodic word of period <= n_max
-    (one representative per rotation class), sorted for determinism; the
-    words of one size share one _orbit_spectra call, so reversals and sign
-    flips cost no solve.
-    ValueError before the twist grid is built when the cloud, at
-    BYTES_PER_POINT a point, would exceed the available memory."""
+    """_bloch_union of every periodic word of period <= n_max (one
+    representative per rotation class), sorted for determinism."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_PERIOD:
         raise ValueError(f"n_max = {n_max} exceeds the ceiling {MAX_PERIOD} "
                          f"(2^N words per period N)")
-    words = enumerate_words(n_max, sigma)
-    by_size = {}
-    for wid, word in enumerate(words):
-        c = _bloch_word(word).cvals()
-        by_size.setdefault(len(c), []).append((wid, c))
-    points = alpha_count * sum(n * len(group) for n, group in by_size.items())
-    _require_memory(points * BYTES_PER_POINT, f"{points} points")
-    cloud = SpectrumCloud(sigma, unit_grid(alpha_count),
-                          params={"n_max": n_max, "alpha_count": alpha_count})
-    for wid, word in enumerate(words):
-        cloud.register_word(wid, sign_pattern(word.signs))
-    for size in sorted(by_size):
-        wids, cs = zip(*by_size[size])
-        eig = _orbit_spectra(cs, alpha_count)
-        cloud.add(eig.reshape(-1, size), np.repeat(wids, alpha_count),
-                  np.tile(np.arange(alpha_count), len(wids)), size)
-    return cloud.sort()
+    return _bloch_union(enumerate_words(n_max, sigma), alpha_count,
+                        {"n_max": n_max, "alpha_count": alpha_count}).sort()
 
 
 def _available_memory():

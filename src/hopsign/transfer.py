@@ -196,35 +196,33 @@ def hole_boundary_radius(theta, sigma):
 
 
 def hole_clearance(lams, sigma):
-    """Minimum distance from a point set to the closed central hole, by exact
-    projection onto the chords of a dense boundary polyline.
+    """Minimum distance from a finite point set to the closed central hole,
+    by exact projection onto the chords of a dense boundary polyline; 0 when
+    a point lies in the open hole, where f = max(f_plus, f_minus) < 0.
 
-    The closed hole sits inside the disc of radius r_sigma, so a point at
-    radius r > r_sigma is at least r - r_sigma away; points beyond a small
-    margin are dropped before the segment scan.  When the near-set minimum
-    d fails to certify them irrelevant, only the points with
-    r <= r_sigma + d are scanned as well: none beyond can be closer, so the
-    result stays exact."""
+    Both ellipses contain the hole.  A point with f >= 0 lies on or outside
+    the copies of both ellipses scaled by k = sqrt(1 + f / (1 - sigma^2)^2),
+    and those copies lie at least (k - 1)(1 - sigma), k - 1 times the
+    smaller semi-axis, outside the ellipses.  The chords lie in the convex
+    hole, so that bound is at most the chord distance: after the point of
+    least bound, only the points whose bound does not exceed its chord
+    distance are projected."""
     params = RegionParams(sigma)
-    pts = np.asarray(lams, dtype=complex).ravel()
+    pts = np.asarray_chkfinite(lams, dtype=complex).ravel()
     if len(pts) == 0:
         raise ValueError("empty point set")
-    if region_tests_many(pts, params)["in_H"].any():
+    f = np.maximum(*ellipse_forms(pts, params))
+    if (f < 0).any():
         return 0.0
     th = np.linspace(0.0, 2.0 * np.pi, HOLE_SAMPLES, endpoint=False)
     verts = hole_boundary_radius(th, sigma) * np.exp(1j * th)
     starts, ends = verts, np.roll(verts, -1)
-    margin = 0.05
-    near = np.abs(pts) <= params.r_sigma + margin
-    min_near = (float(segment_distances(pts[near], starts, ends).min())
-                if near.any() else np.inf)
-    far_bound = (float((np.abs(pts[~near]) - params.r_sigma).min())
-                 if not near.all() else np.inf)
-    if min_near <= far_bound:
-        return min_near
-    rescan = ~near & (np.abs(pts) <= params.r_sigma + min_near)
-    return min(min_near,
-               float(segment_distances(pts[rescan], starts, ends).min()))
+    s = params.sigma
+    low = (np.sqrt(1.0 + f / (1.0 - s * s) ** 2) - 1.0) * (1.0 - s)
+    best = segment_distances(pts[np.argmin(low)], starts, ends)[0]
+    # 1e-9 covers rounding: on the axes the bound equals the distance
+    near = low <= best * (1.0 + 1e-9)
+    return float(segment_distances(pts[near], starts, ends).min())
 
 
 def paired_member(word_c, tail_sign, lam, tol=1e-9):

@@ -141,8 +141,10 @@ def test_p_table_entries_and_structure():
 def test_p_table_constant_coefficients():
     table = p_table(512)
     ct = c_tilde_array(512)
+    gammas = table.constant_coefficients()
+    assert gammas.shape == (513,)
     for i in range(1, 513):
-        g = table.constant_coefficient(i)
+        g = int(gammas[i])
         assert table.p[i, 1] == g
         if i % 2 == 0:
             assert g == 0

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hopsign.seqcore import (DiagWord, SeqWindow, SignWord, c_iterate_word,
                              c_tilde, c_tilde_array, fixed_point_window,
                              gamma_minus_window, gamma_plus_window,
-                             gamma_plus_word, hat_inversion, least_rotation,
-                             m_word, minimal_period, rotation_classes)
+                             gamma_plus_word, hat_inversion, m_word,
+                             minimal_period, rotation_classes)
 
 seed = 42
 nwords = 25
@@ -56,9 +56,11 @@ def test_rotated_shifts_the_sequence(signs, s2):
 
 def test_canonical_is_least_rotation():
     w = SignWord((1, -1, 1, 1), 0.5)
-    assert least_rotation(w.signs) == (-1, 1, 1, 1)
-    rots = [least_rotation(tuple(np.roll(w.signs, -k))) for k in range(4)]
-    assert all(r == rots[0] for r in rots)
+    rots = np.array([np.roll(w.signs, -k) for k in range(4)])
+    k, _, codes = rotation_classes(rots)
+    least = [np.roll(r, -j).tolist() for r, j in zip(rots, k)]
+    assert least == [[-1, 1, 1, 1]] * 4
+    assert (codes == codes[0]).all()
 
 
 def _signs(n):
@@ -90,8 +92,6 @@ def test_rotation_classes_match_tuple_rotations(word, times, rows):
         assert d == n // rots.count(row)
         bits = np.packbits(np.array(min(rots)) > 0).tobytes()
         assert code.tobytes() == bits.ljust(8 * len(code), b"\0")
-    assert least_rotation(signs) == min(signs[j:] + signs[:j]
-                                        for j in range(n))
     assert minimal_period(signs) == period[0]
     assert period[0] == next(d for d in range(1, n + 1)
                              if signs == signs[:d] * (n // d))

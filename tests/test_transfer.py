@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from hopsign import transfer
 from hopsign.seqcore import SignWord, c_iterate_word
 from hopsign.metrics import segment_distances
-from hopsign.spectra import bloch_spectrum, enumerate_words
+from hopsign.spectra import (bloch_spectrum, enumerate_words, pi_union,
+                             random_finite_sample, random_periodic_sample)
 from hopsign.transfer import (DECAY_HORIZON, RegionParams, classify,
-                              decay_check, hole_boundary_radius,
+                              decay_check, ellipse_forms, hole_boundary_radius,
                               hole_clearance, paired_member, phi,
                               quadratic_roots, region_tests_many,
                               required_decay_order, rho_curve, trace_det,
@@ -270,28 +272,67 @@ def test_hole_clearance_known_values():
     sigma = 0.5
     assert hole_clearance([0.0 + 0j], sigma) == 0.0  # point inside the hole
     assert hole_clearance([1.0 + 0j], sigma) == pytest.approx(0.5, abs=1e-5)
-    # all points beyond the prefilter radius: the full-scan path
     assert hole_clearance([1.5 + 0j], sigma) == pytest.approx(1.0, abs=1e-5)
     with pytest.raises(ValueError):
         hole_clearance([], sigma)
+    with pytest.raises(ValueError):
+        hole_clearance([1.0], 1.0)  # the hole is empty at sigma = 1
+    for pts in ([np.nan, 0.9], [0.69, np.nan]):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            hole_clearance(pts, sigma)
 
 
-def test_hole_clearance_matches_plain_scan():
-    # the only point inside the prefilter radius r_sigma + 0.05 lies on the
-    # real axis, 0.19 from the hole; a diagonal point just beyond that radius
-    # is 0.06 away, so the near-set minimum cannot certify the far points and
-    # the rescan of radii <= r_sigma + 0.19 runs; the random points lie
-    # further out, some inside and some beyond the rescan radius
-    sigma = 0.5
-    r_sigma = RegionParams(sigma).r_sigma
+def union_periods_2(sigma):
+    cloud = pi_union(8, sigma, 4)
+    ones = [w for w, pattern in cloud.words.items() if pattern in ("+", "-")]
+    return cloud.points[~np.isin(cloud.word_id, ones)]
+
+
+def outside_hole(pts, sigma):
+    # sample clouds touch the hole to rounding; drop the points inside it
+    f = np.maximum(*ellipse_forms(pts, RegionParams(sigma)))
+    return pts[f >= 0]
+
+
+def gaussian_cloud():
     rng = np.random.default_rng(248)
-    r = rng.uniform(0.75, 1.2, size=80)
-    pts = np.concatenate([r * np.exp(2j * np.pi * rng.random(80)),
-                          [0.69, (r_sigma + 0.06) * np.exp(0.25j * np.pi)]])
+    pts = 1.2 * (rng.normal(size=600) + 1j * rng.normal(size=600))
+    return outside_hole(pts, 0.5)
+
+
+CLEARANCE_CASES = {
+    **{f"union-{s}": (s, lambda s=s: union_periods_2(s))
+       for s in (0.3, 0.5, 0.9025, 0.99)},
+    "periodic-sample": (0.5, lambda: outside_hole(
+        random_periodic_sample(100, (3, 20), 0.5, 0.5, seed=2).points, 0.5)),
+    "finite-sample": (0.9025, lambda: outside_hole(
+        random_finite_sample(300, p_sigma=0.5, sigma=0.9025, seed=3)[0].points,
+        0.9025)),
+    "gaussian": (0.5, gaussian_cloud),
+    "axes": (0.5, lambda: np.array([1.0, -1.0, 1j, -1j, 0.6, 0.9j, -0.51])),
+    "ring": (0.5, lambda: 1.4 * np.exp(2j * np.pi * np.arange(1000) / 1000)),
+}
+
+
+@pytest.mark.parametrize("case", CLEARANCE_CASES)
+def test_hole_clearance_matches_plain_scan(case, monkeypatch):
+    sigma, make = CLEARANCE_CASES[case]
+    pts = make()
     th = np.linspace(0, 2 * np.pi, 8192, endpoint=False)
     verts = hole_boundary_radius(th, sigma) * np.exp(1j * th)
     plain = segment_distances(pts, verts, np.roll(verts, -1)).min()
-    assert hole_clearance(pts, sigma) == pytest.approx(plain, abs=1e-12)
+    projected = []
+
+    def spy(points, a, b):
+        projected.append(np.atleast_1d(points))
+        return segment_distances(points, a, b)
+
+    monkeypatch.setattr(transfer, "segment_distances", spy)
+    assert hole_clearance(pts, sigma) == plain
+    # the bound grows with the ellipse form, so the point of least form is
+    # projected first, and alone
+    least = np.argmin(np.maximum(*ellipse_forms(pts, RegionParams(sigma))))
+    assert projected[0].tolist() == [pts[least]]
 
 
 # ---------------------------------------------------------------- membership
