@@ -27,8 +27,8 @@ from .spectra import (SpectrumCloud, bloch_spectrum, closed_form_star,
                       pi_union, random_finite_sample, random_periodic_sample,
                       square_spectrum_check, symmetry_check, ue_bound_check)
 from .svgfig import cloud_figure, overlay_names
-from .transfer import (RegionParams, decay_check, hole_clearance,
-                       region_tests_many, rho_curve)
+from .transfer import (RegionParams, decay_check, ellipse_forms,
+                       hole_clearance, rho_curve)
 
 
 def _emit(cloud, args, default_overlays="", tag=None, figure=None):
@@ -57,7 +57,8 @@ def _derived_path(path, tag):
 def cmd_pi_union(args):
     cloud = pi_union(args.nmax, args.sigma, args.alpha_count)
     pts = cloud.points
-    n_in = int(region_tests_many(pts, RegionParams(args.sigma))["in_H"].sum())
+    f = np.maximum(*ellipse_forms(pts, RegionParams(args.sigma)))
+    n_in = int((f < 0).sum())  # in the open hole, both ellipse interiors
     print(f"pi-union: sigma={args.sigma:g} n_max={args.nmax} "
           f"alpha_count={args.alpha_count}: {len(cloud)} points")
     print(f"points inside the central hole: {n_in}")

@@ -29,12 +29,14 @@ def uv_polys(n_max):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    ct = c_tilde_array(n_max + 1)
+    cs = c_tilde_array(n_max)[1:].tolist()  # c~_1 .. c~_n_max
     t = np.zeros((2, n_max + 2, n_max + 1), dtype=np.int8)
     t[0, 1, 0] = t[1, 0, 0] = 1
-    for n in range(1, n_max + 1):
-        t[:, n + 1, 1:] = t[:, n, :-1]
-        t[:, n + 1] -= ct[n] * t[:, n - 1]
+    rows = [t[:, n] for n in range(n_max + 2)]
+    step = {1: np.subtract, -1: np.add}  # c~_n = +-1 needs no product
+    for a, b, out, c in zip(rows, rows[1:], rows[2:], cs):  # n-1, n, n+1
+        out[:, 1:] = b[:, :-1]
+        step.get(c, np.subtract)(out, a if c in step else c * a, out=out)
     if t.min() <= -64 or t.max() >= 64:
         raise OverflowError("a u/v coefficient left (-64, 64); an int8 step "
                             "may have wrapped")

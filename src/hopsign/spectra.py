@@ -116,8 +116,11 @@ class SpectrumCloud:
                 *(f"word {w} {self.words[w]}" for w in sorted(self.words)),
                 "columns: re, im, N, word_id, alpha_re, alpha_im"]
         head = "".join(f"# {h}\n" for h in head if h).encode()
-        tails = _byte_rows([b", %.17g, %.17g\n" % (z.real, z.imag)
-                            for z in self.twists.tolist()])
+        # ", re, im\n" per twist, compacted once to keep chunk rows narrow
+        t = np.zeros((len(self.twists), 2, 27), np.uint8)
+        t[..., :2], t[:, 1, 26] = _COMMA, ord("\n")
+        t[..., 2:26] = g17(self.twists.view(float)).reshape(-1, 2, 24)
+        tails = _byte_rows(t.tobytes().translate(None, b"\0").splitlines(True))
         pts, wid, tw, nn = self.points, self.word_id, self.twist, self.N
         with open(path, "wb") as f:
             f.write(head)
@@ -606,14 +609,16 @@ def ue_bound_check(lam, i_max):
     block = max(1, min(i_max - 1, 2 ** 13 // max(lam.size, 1)))
     u = np.zeros((block + 2, lam.size), complex)
     u[1], top, flat = 1.0, np.ones(lam.size), lam.ravel()
-    for lo in range(1, i_max, block):
-        for k, c in enumerate(ct[lo:min(lo + block, i_max)].tolist()):
-            np.multiply(flat, u[k + 1], out=u[k + 2])
-            (np.subtract if c > 0 else np.add)(u[k + 2], u[k], out=u[k + 2])
-        np.maximum(top, np.abs(u[2:k + 3]).max(0), out=top)
-        u[:2] = u[k + 1:k + 3]
-    top = top.reshape(lam.shape)
-    bound = 1.0 / (1.0 - np.abs(lam))
+    rows, step = list(u), {1: np.subtract, -1: np.add}  # ufunc by c~_n
+    for lo in range(1, i_max if lam.size else 1, block):  # no lanes, no steps
+        cs = ct[lo:min(lo + block, i_max)].tolist()
+        for a, b, out, op in zip(rows, rows[1:], rows[2:], map(step.get, cs)):
+            np.multiply(flat, b, out=out)
+            op(out, a, out=out)
+        n = len(cs)
+        np.maximum(top, np.abs(u[2:n + 2]).max(0), out=top)
+        u[:2] = u[n:n + 2]
+    top, bound = top.reshape(lam.shape), 1.0 / (1.0 - np.abs(lam))
     return {"max_abs": top, "bound": bound, "ok": top <= bound + 1e-9}
 
 

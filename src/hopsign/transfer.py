@@ -11,9 +11,10 @@ condition is Phi(tau, gamma) = 1 with
     Phi = Re(tau)^2 / (1+gamma)^2 + Im(tau)^2 / (1-gamma)^2,
 
 Phi < 1 marking the both-roots-inside region I and Phi > 1 the split region O.
-One array recurrence, transfer_product, computes every such product in
+One array recurrence, transfer_product, computes the period products in
 floats: trace_det, classify, paired_member, det_residual and decay_check
-all call it, and each takes lam of any shape and answers in that shape.
+all call it, and each takes lam of any shape and answers in that shape;
+decay_check raises its T_m to the decay horizon by repeated squaring.
 """
 
 import math
@@ -256,7 +257,9 @@ def decay_check(lam, sigma, d):
 
     started from (xi_0, xi_1) = (0, 1) and (1, 0).  The rate of a solution is
     the per-step growth of its two-term state (|xi_{r-1}|, |xi_r|), a column
-    of transfer_product, at r = DECAY_HORIZON.  Requires sqrt(sigma) <
+    of T_r, at r = DECAY_HORIZON.  For m <= r, T_r = T_m^(r/m) is T_m from
+    transfer_product squared log2(r/m) times, rescaled as transfer_product
+    does; for m > r it is the direct product.  Requires sqrt(sigma) <
     4^(-1/2^d); any lam is accepted, so growth (rate > 1) is observable
     outside the decay disc.
 
@@ -273,8 +276,12 @@ def decay_check(lam, sigma, d):
         raise ValueError(
             f"sigma^(1/2) = {math.sqrt(sigma):.6g} is not < 4^(-1/{m}) = {h:.6g}; "
             f"minimal admissible d is {required_decay_order(sigma)}")
-    c = sigma * np.resize(c_tilde_array(m)[1:], DECAY_HORIZON)  # c_1, c_2, ...
+    c = sigma * c_tilde_array(m)[1:DECAY_HORIZON + 1]  # c_1 .. c_min(m, r)
     t, e = transfer_product(c, lam)
+    for _ in range(int(math.log2(DECAY_HORIZON / len(c)))):  # T_2n = T_n^2
+        t = t @ t
+        ek = np.frexp(abs(t).max((-2, -1)))[1]
+        t, e = t * np.ldexp(1.0, -ek)[..., None, None], 2 * e + ek
     state = np.log2(abs(t).max(-2)) + e[..., None]  # columns: (1, 0), (0, 1)
     r2, r1 = np.moveaxis(np.exp2(state / DECAY_HORIZON), -1, 0)
     rate = np.maximum(r1, r2)

@@ -19,6 +19,7 @@ from hopsign.seqcore import SignWord
 from hopsign.spectra import (bloch_spectrum, pi_union, random_finite_sample,
                              random_periodic_sample, square_spectrum_check,
                              symmetry_check)
+from hopsign.transfer import RegionParams, region_tests_many
 
 
 def test_derived_path():
@@ -48,10 +49,26 @@ def test_verify_passes_and_reports_json(capsys):
     out = capsys.readouterr()
     assert rc == 0
     rows = json.loads(out.out)
-    assert len(rows) == 8
+    assert [r["check"] for r in rows] == [
+        "tables", "identities", "p_table", "recurrence_bound",
+        "square_spectrum", "symmetry", "decay", "curves"]
     assert all(r["status"] == "pass" for r in rows)
+    exact = ("tables", "identities", "p_table", "recurrence_bound", "decay")
+    assert [r["max_error"] for r in rows if r["check"] in exact] == [0.0] * 5
     assert {"check", "status", "max_error", "runtime_ms"} <= set(rows[0])
     assert "pass" in out.err  # human table goes to stderr
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.9025, 1.0])
+def test_pi_union_hole_count_is_region_tests_in_h(sigma, capsys):
+    # cmd_pi_union counts max(f_plus, f_minus) < 0, the in_H set
+    assert main(["pi-union", "--sigma", str(sigma), "--nmax", "6",
+                 "--alpha-count", "16"]) == 0
+    out = capsys.readouterr().out
+    n_in = int(out.split("points inside the central hole: ")[1].split()[0])
+    cloud = pi_union(6, sigma, 16)
+    assert n_in == region_tests_many(cloud.points,
+                                     RegionParams(sigma))["in_H"].sum()
 
 
 def test_pi_union_outputs(tmp_path, capsys):

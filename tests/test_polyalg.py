@@ -88,6 +88,36 @@ def test_wronskian_is_the_sign_product(n):
     assert prod in (-1, 1)
 
 
+def _uv_loop(n_max):  # the per-step loop uv_polys replaced
+    ct = c_tilde_array(n_max + 1)
+    t = np.zeros((2, n_max + 2, n_max + 1), dtype=np.int8)
+    t[0, 1, 0] = t[1, 0, 0] = 1
+    for n in range(1, n_max + 1):
+        t[:, n + 1, 1:] = t[:, n, :-1]
+        t[:, n + 1] -= ct[n] * t[:, n - 1]
+    return t[0], t[1]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 9, 512, 1024, 1100])
+def test_uv_polys_match_step_loop(n_max):
+    for got, want in zip(uv_polys(n_max), _uv_loop(n_max)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_uv_polys_multiply_when_c_tilde_is_not_a_sign():
+    # a c~ table scaled by 2 (as the range check's test scales it by 100)
+    # takes the multiplying step, not the +-1 table's add or subtract
+    seqcore.c_tilde_array(64)
+    saved = seqcore._ct_cache
+    try:
+        seqcore._ct_cache = saved * 2
+        for got, want in zip(uv_polys(6), _uv_loop(6)):
+            assert np.array_equal(got, want)
+        assert uv_polys(6)[1][2, 0] == -2  # v_2 = -c_1
+    finally:
+        seqcore._ct_cache = saved
+
+
 def test_uv_range_check_trips_on_large_coefficients():
     # c~ scaled by 100 puts -100 into v_2, outside the (-64, 64) range in
     # which no int8 step can wrap

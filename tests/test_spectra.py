@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -905,6 +907,16 @@ def test_ue_bound_check_matches_step_loop(polar, i_max):
         got = ue_bound_check(lam, i_max)["max_abs"]
         want = _ue_max_loop(lam, i_max)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_ue_bound_check_empty_lam_takes_no_steps():
+    for lam in (np.zeros(0, complex), np.zeros((3, 0), complex)):
+        t0 = time.perf_counter()
+        res = ue_bound_check(lam, 10 ** 6)
+        # walking all 10^6 steps over no lanes takes over a second
+        assert time.perf_counter() - t0 < 0.5
+        assert all(v.shape == lam.shape for v in res.values())
+        assert res["max_abs"].dtype == res["bound"].dtype == float
 
 
 def test_ue_bound_check_scalar_and_array():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hopsign import transfer
-from hopsign.seqcore import SignWord, c_iterate_word
+from hopsign.seqcore import SignWord, c_iterate_word, c_tilde_array
 from hopsign.metrics import segment_distances
 from hopsign.spectra import (bloch_spectrum, enumerate_words, pi_union,
                              random_finite_sample, random_periodic_sample)
@@ -406,6 +406,43 @@ def test_decay_check_period_beyond_the_horizon():
     assert 2 ** 12 > DECAY_HORIZON
     assert decay_check(0.0, 0.5, 12)["rate"] == pytest.approx(np.sqrt(0.5),
                                                               abs=1e-12)
+
+
+def _decay_rates_direct(lam, sigma, d):  # one product over the horizon
+    c = sigma * np.resize(c_tilde_array(2 ** d)[1:], DECAY_HORIZON)
+    t, e = transfer_product(c, lam)
+    state = np.log2(abs(t).max(-2)) + e[..., None]
+    r2, r1 = np.moveaxis(np.exp2(state / DECAY_HORIZON), -1, 0)
+    return r1, r2
+
+
+# lam = 0, the ring verify checks, 1.2, 200 random points |lam| <= 1.3, and
+# 3 and -40i, whose horizon products overflow unless rescaled
+_g = np.random.Generator(np.random.Philox(key=[20261019, 21]))
+DECAY_LAMS = np.r_[
+    0.0, np.outer((0.2, 0.4, 0.6, 0.8),
+                  np.exp(1j * np.pi * np.arange(8) / 4)).ravel(), 1.2,
+    1.3 * np.sqrt(_g.random(200)) * np.exp(2j * np.pi * _g.random(200)),
+    3.0, -40j]
+
+
+@pytest.mark.parametrize("d, sigma", [(1, 0.2), (2, 0.45), (3, 0.5),
+                                      (3, 0.6), (4, 0.75), (5, 0.82),
+                                      (11, 0.9)])
+def test_decay_check_squaring_matches_direct_product(d, sigma):
+    res = decay_check(DECAY_LAMS, sigma, d)
+    want = _decay_rates_direct(DECAY_LAMS, sigma, d)
+    for got, ref in zip(res["rates"], want):
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+    decays = np.maximum(*want) < 1.0
+    assert np.array_equal(res["decays"], decays)
+    assert decays.any() and not decays.all()
+
+
+def test_decay_check_beyond_the_horizon_is_the_direct_product():
+    res = decay_check(DECAY_LAMS, 0.5, 12)
+    for got, ref in zip(res["rates"], _decay_rates_direct(DECAY_LAMS, 0.5, 12)):
+        assert np.array_equal(got, ref)
 
 
 def test_decay_check_validation():
