@@ -352,7 +352,7 @@ def main(argv=None):
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # a refused allocation too
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -374,6 +374,8 @@ def _orbit_spectra(cs, alpha_count):
             better = (img >= 0) & (img < rep)
             rep[better], how[better] = img[better], e // 2  # pick one (b, c)
     solved = np.flatnonzero(rep == node)
+    _require_memory(20 * (len(solved) + 1) * n * n,
+                    f"{len(solved)} sections of size {n}")
     out = np.empty((size, n), dtype=complex)  # before the solve's temporaries
     eig = _periodic_spectra(cs[solved // alpha_count],
                             unit_grid(alpha_count)[solved % alpha_count])

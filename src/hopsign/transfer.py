@@ -11,6 +11,8 @@ condition is Phi(tau, gamma) = 1 with
     Phi = Re(tau)^2 / (1+gamma)^2 + Im(tau)^2 / (1-gamma)^2,
 
 Phi < 1 marking the both-roots-inside region I and Phi > 1 the split region O.
+curve_form, (1 - gamma^2)^2 (Phi - 1) multiplied out and defined at |gamma| = 1,
+gives the ellipses of +-sigma, paired_member's tail test and rho_curve's radii.
 One array recurrence, transfer_product, computes the period products in
 floats: trace_det, classify, paired_member, det_residual and decay_check
 all call it, and each takes lam of any shape and answers in that shape;
@@ -83,6 +85,19 @@ def phi(tau, gamma):
     return (tau.real / (1.0 + gamma)) ** 2 + (tau.imag / (1.0 - gamma)) ** 2
 
 
+def curve_form(tau, gamma):
+    """(1 - gamma^2)^2 (Phi - 1) multiplied out, for tau of any shape:
+    negative inside E = {1/alpha + gamma alpha : |alpha| = 1}, zero on it; a
+    word's form at lam is curve_form(*trace_det(word, lam)).  It has no
+    division, so at |gamma| = 1 its zero set is the whole line Im tau = 0
+    (gamma = 1) or Re tau = 0, which the caller cuts to |Re tau| <= 2 (or
+    |Im tau| <= 2)."""
+    tau = np.asarray(tau, dtype=complex)
+    x, y = tau.real, tau.imag
+    return (x * x * (1.0 - gamma) ** 2 + y * y * (1.0 + gamma) ** 2
+            - (1.0 - gamma * gamma) ** 2)
+
+
 def quadratic_roots(tau, gamma):
     """Roots of z^2 - tau z + gamma with |z1| >= |z2| for tau of any shape,
     the larger computed by the cancellation-safe branch and the smaller as
@@ -107,33 +122,30 @@ def classify(word, lam, tol=1e-9):
 
 
 def rho_curve(n, branch, theta, sigma):
-    """Radius of the spectral curve of the n-th iterate word at angle theta:
-
-        rho_0^+(theta, s) = (1 - s^2) / sqrt(1 + s^2 - 2 s cos 2 theta)
-        rho_0^-(theta, s) = (1 - s^2) / sqrt(1 + s^2 + 2 s cos 2 theta)
-        rho_n^{+-}(theta, s) = rho_0^{+-}(2^n theta, s^(2^n)) ^ (1 / 2^n)
-
-    theta may be a scalar or an array.  Requires 0 < sigma < 1 (at sigma = 1
-    the curves degenerate to segment stars handled in closed form elsewhere).
-    """
+    """Radius of the spectral curve of the n-th iterate word at angle theta,
+    rho_n^{+-}(theta, s) = rho_0(2^n theta, +-s^(2^n)) ^ (1/2^n), where
+    rho_0(phi, g) e^(i phi) is the zero of curve_form(., g) on its ray:
+    (1 - g)(1 + g) / hypot((1 - g) cos phi, (1 + g) sin phi), a sum of
+    squares that does not cancel as sigma -> 1.  theta may be a scalar or an
+    array.  Requires 0 < sigma < 1 (at sigma = 1 the curves degenerate to
+    segment stars handled in closed form elsewhere)."""
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
     if not 0.0 < sigma < 1.0:
         raise ValueError("rho curves need sigma in (0, 1)")
     if n < 0:
         raise ValueError("n must be >= 0")
-    theta = np.asarray(theta, dtype=float)
-    pm = -1.0 if branch == "+" else 1.0
-    s = sigma ** (2 ** n)
-    r0 = (1.0 - s * s) / np.sqrt(1.0 + s * s + pm * 2.0 * s * np.cos(2.0 ** (n + 1) * theta))
+    phi_n = 2.0 ** n * np.asarray(theta, dtype=float)
+    g = sigma ** (2 ** n) * (1.0 if branch == "+" else -1.0)
+    r0 = (1.0 - g) * (1.0 + g) / np.hypot((1.0 - g) * np.cos(phi_n),
+                                          (1.0 + g) * np.sin(phi_n))
     return r0 ** (1.0 / 2 ** n)
 
 
 class RegionParams:
     """sigma plus the derived region constants: the two ellipse semi-axis
     pairs, the annulus radii 1 -+ sigma, the diamond bound sqrt(2(1+sigma^2)),
-    the outer hole radius r_sigma = (1-sigma^2)/sqrt(1+sigma^2), and the
-    inner curve radii rho_lower(n)."""
+    and the outer hole radius r_sigma = (1-sigma^2)/sqrt(1+sigma^2)."""
 
     def __init__(self, sigma):
         sigma = check_sigma(sigma)
@@ -143,28 +155,13 @@ class RegionParams:
         self.diamond_bound = math.sqrt(2.0 * (1.0 + sigma * sigma))
         self.r_sigma = (1.0 - sigma * sigma) / math.sqrt(1.0 + sigma * sigma)
 
-    def rho_lower(self, n):
-        """((1 - sigma^(2^(n+1))) / (1 + sigma^(2^n))) ^ (1/2^n), an exact
-        lower bound for rho_n^{+-} over all angles; increases to 1."""
-        s = self.sigma
-        return ((1.0 - s ** (2 ** (n + 1))) / (1.0 + s ** (2 ** n))) ** (1.0 / 2 ** n)
-
 
 def ellipse_forms(lams, params):
-    """The multiplied-out ellipse forms (f_plus, f_minus) at each point,
-
-        f_plus  = x^2 (1 - s)^2 + y^2 (1 + s)^2 - (1 - s^2)^2
-        f_minus = x^2 (1 + s)^2 + y^2 (1 - s)^2 - (1 - s^2)^2,
-
-    negative inside the open ellipse E_plus (E_minus), zero on its boundary:
-    the Bloch curve lam = e^(i t) +- s e^(-i t) of the constant word +-s.
-    Safe at sigma = 1, where both ellipses degenerate to segments."""
-    lams = np.asarray(lams, dtype=complex)
-    x, y = lams.real, lams.imag
-    s = params.sigma
-    rhs = (1.0 - s * s) ** 2
-    return (x * x * (1.0 - s) ** 2 + y * y * (1.0 + s) ** 2 - rhs,
-            x * x * (1.0 + s) ** 2 + y * y * (1.0 - s) ** 2 - rhs)
+    """The ellipse forms (f_plus, f_minus) = (curve_form(lams, s),
+    curve_form(lams, -s)), negative inside the open ellipse E_plus (E_minus),
+    zero on its boundary: the Bloch curve lam = e^(i t) +- s e^(-i t) of the
+    constant word +-s.  Safe at sigma = 1, where both become segments."""
+    return curve_form(lams, params.sigma), curve_form(lams, -params.sigma)
 
 
 def region_tests_many(lams, params):
@@ -206,8 +203,8 @@ def hole_clearance(lams, sigma):
     and those copies lie at least (k - 1)(1 - sigma), k - 1 times the
     smaller semi-axis, outside the ellipses.  The chords lie in the convex
     hole, so that bound is at most the chord distance: after the point of
-    least bound, only the points whose bound does not exceed its chord
-    distance are projected."""
+    least bound, only it and the points whose bound does not exceed its
+    chord distance are projected."""
     params = RegionParams(sigma)
     pts = np.asarray_chkfinite(lams, dtype=complex).ravel()
     if len(pts) == 0:
@@ -220,9 +217,10 @@ def hole_clearance(lams, sigma):
     starts, ends = verts, np.roll(verts, -1)
     s = params.sigma
     low = (np.sqrt(1.0 + f / (1.0 - s * s) ** 2) - 1.0) * (1.0 - s)
-    best = segment_distances(pts[np.argmin(low)], starts, ends)[0]
-    # 1e-9 covers rounding: on the axes the bound equals the distance
-    near = low <= best * (1.0 + 1e-9)
+    least = np.argmin(low)
+    best = segment_distances(pts[least], starts, ends)[0]
+    near = low <= best * (1.0 + 1e-9)  # on the axes, bound == distance
+    near[least] = True  # even if its bound rounds above its distance
     return float(segment_distances(pts[near], starts, ends).min())
 
 
@@ -236,8 +234,8 @@ def paired_member(word_c, tail_sign, lam, tol=1e-9):
     if tail_sign not in ("+", "-"):
         raise ValueError("tail_sign must be '+' or '-'")
     inside = classify(word_c, lam, tol)["label"] != "O"
-    f_plus, f_minus = ellipse_forms(lam, RegionParams(word_c.sigma))
-    return inside & ((f_plus if tail_sign == "+" else f_minus) > 0)
+    gamma = word_c.sigma if tail_sign == "+" else -word_c.sigma
+    return inside & (curve_form(lam, gamma) > 0)
 
 
 def required_decay_order(sigma):

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hopsign
-from hopsign import spectra
+from hopsign import spectra, transfer
 from hopsign.cli import _derived_path, main
 from hopsign.eigen import SolverFailure
 from hopsign.seqcore import SignWord
@@ -166,6 +166,26 @@ def test_curve_reports_deviation_and_tags_branches(tmp_path, capsys):
     ET.parse(tmp_path / "c.minus.svg")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nmax, sigma, bound", [("1", "0.999999999", 1e-6),
+                                                ("0", "0.9999999", 1e-8)])
+def test_curve_near_sigma_one_stays_finite(nmax, sigma, bound, tmp_path,
+                                           capsys):
+    # a radius from the double-angle denominator 1 + s^2 - 2 s cos 2 theta
+    # gives inf deviations and inf/nan path data at n 1 here, and 1e-2
+    # deviations at n 0
+    svg = str(tmp_path / "c.svg")
+    assert main(["curve", "--nmax", nmax, "--sigma", sigma, "--alpha-count",
+                 "16", "--out-svg", svg]) == 0
+    devs = [float(line.rsplit(": ", 1)[1])
+            for line in capsys.readouterr().out.splitlines()
+            if "max deviation" in line]
+    assert len(devs) == 2 and all(0.0 <= d <= bound for d in devs)
+    for tag in ("plus", "minus"):
+        text = (tmp_path / f"c.{tag}.svg").read_text()
+        assert "inf" not in text and "nan" not in text
+
+
 def test_curve_closed_form_only(tmp_path, capsys):
     csv = str(tmp_path / "curve.csv")
     rc = main(["curve", "--nmax", "0", "--branch", "+",
@@ -271,6 +291,60 @@ def test_pi_union_too_big_for_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "available" in err and "Traceback" not in err
     assert not csv.exists()
+
+
+def test_curve_solve_stack_is_checked_against_memory(monkeypatch, capsys):
+    # the orbit solve of the period-64 sections needs more than the
+    # per-point cloud estimate: it is checked once its section count is known
+    argv = ["curve", "--nmax", "5", "--branch", "+", "--alpha-count", "16"]
+    asked = []
+    real_require = spectra._require_memory
+
+    def spy(nbytes, what):
+        asked.append((nbytes, what))
+        real_require(nbytes, what)
+
+    monkeypatch.setattr(spectra, "_require_memory", spy)
+    monkeypatch.setattr(spectra, "_available_memory", lambda: None)
+    assert main(argv) == 0
+    (points, _), (stack, what) = asked
+    assert stack > points and what.endswith("sections of size 64")
+    monkeypatch.setattr(spectra, "_available_memory", lambda: stack)
+    assert main(argv) == 0  # runs at exactly the bound
+    capsys.readouterr()
+    monkeypatch.setattr(spectra, "_available_memory", lambda: stack - 1)
+    monkeypatch.setattr(np.linalg, "eigvals", _no_solve)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid configur")
+    assert what in err and "available" in err
+
+
+def test_refused_allocation_exits_2(monkeypatch, capsys):
+    # an address-space limit (ulimit -v) can refuse a stack that the
+    # MemAvailable estimate let through
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(spectra, "_band", refuse)
+    rc = main(["curve", "--nmax", "2", "--branch", "+", "--alpha-count", "8"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid configuration: Unable to allocate 1.00 GiB for an array"]
+
+
+def test_pi_union_takes_the_period_1_forms_on_lam(monkeypatch, capsys):
+    # the hole count and clearance evaluate the constant words' forms on lam
+    # itself: through transfer_product they cost about 30x the time and an
+    # (M, 2, 2) complex stack per word on the union cloud
+    def no_product(*args):
+        raise AssertionError("transfer_product on the pi-union path")
+
+    monkeypatch.setattr(transfer, "transfer_product", no_product)
+    assert main(["pi-union", "--nmax", "4", "--alpha-count", "8"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,11 +7,11 @@ from hopsign.metrics import segment_distances
 from hopsign.spectra import (bloch_spectrum, enumerate_words, pi_union,
                              random_finite_sample, random_periodic_sample)
 from hopsign.transfer import (DECAY_HORIZON, RegionParams, classify,
-                              decay_check, ellipse_forms, hole_boundary_radius,
-                              hole_clearance, paired_member, phi,
-                              quadratic_roots, region_tests_many,
-                              required_decay_order, rho_curve, trace_det,
-                              transfer_product)
+                              curve_form, decay_check, ellipse_forms,
+                              hole_boundary_radius, hole_clearance,
+                              paired_member, phi, quadratic_roots,
+                              region_tests_many, required_decay_order,
+                              rho_curve, trace_det, transfer_product)
 
 seed = 3
 nwords = 20
@@ -202,14 +202,37 @@ def test_rho_one_minus_satisfies_quartic(sigma):
     assert np.max(np.abs(res - 1.0)) < 1e-12
 
 
-@pytest.mark.parametrize("n", range(0, 5))
-def test_rho_lower_bounds_the_curves(n):
-    params = RegionParams(0.5)
-    th = np.linspace(0.0, 2 * np.pi, 257)
-    lower = params.rho_lower(n)
+def cosine_form_rho(n, branch, theta, sigma):
+    # the reference radius in double-angle form, whose denominator cancels
+    # as sigma -> 1
+    pm = -1.0 if branch == "+" else 1.0
+    s = sigma ** (2 ** n)
+    r0 = (1.0 - s * s) / np.sqrt(
+        1.0 + s * s + pm * 2.0 * s * np.cos(2.0 ** (n + 1) * theta))
+    return r0 ** (1.0 / 2 ** n)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_rho_curve_matches_the_cosine_form(n):
+    th = np.linspace(0.0, 2 * np.pi, 100001)
     for branch in "+-":
-        assert np.min(rho_curve(n, branch, th, 0.5)) >= lower - 1e-12
-    assert params.rho_lower(n + 1) > lower  # increases toward 1
+        ref = cosine_form_rho(n, branch, th, 0.5)
+        rel = np.abs(rho_curve(n, branch, th, 0.5) - ref) / ref
+        assert rel.max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_rho_curve_near_sigma_one_is_finite_and_on_the_ellipse():
+    # the double-angle denominator 1 + s^2 - 2 s cos 2 theta rounds to 0 on
+    # the axes here
+    th = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    for sigma in (0.9999999, 0.999999999):
+        for n, branch in ((0, "+"), (0, "-"), (1, "+"), (1, "-")):
+            r = rho_curve(n, branch, th, sigma)
+            assert np.isfinite(r).all() and (r > 0).all()
+        for branch, g in (("+", sigma), ("-", -sigma)):
+            z = rho_curve(0, branch, th, sigma) * np.exp(1j * th)
+            assert np.abs(phi(z, g) - 1.0).max() < 1e-14
 
 
 def test_rho_curve_validation():
@@ -219,6 +242,56 @@ def test_rho_curve_validation():
         rho_curve(0, "+", 0.0, 1.0)
     with pytest.raises(ValueError):
         rho_curve(-1, "+", 0.0, 0.5)
+
+
+# ---------------------------------------------------------------- curve form
+
+def expanded_forms(lams, sigma):
+    # the two ellipse forms expanded by hand: the reference bit pattern
+    lams = np.asarray(lams, dtype=complex)
+    x, y = lams.real, lams.imag
+    s = sigma
+    rhs = (1.0 - s * s) ** 2
+    return (x * x * (1.0 - s) ** 2 + y * y * (1.0 + s) ** 2 - rhs,
+            x * x * (1.0 + s) ** 2 + y * y * (1.0 - s) ** 2 - rhs)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.5, 0.9025, 1.0])
+def test_curve_form_is_the_expanded_ellipse_forms_bit_for_bit(sigma):
+    rng = np.random.default_rng(5)
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    lams = np.concatenate([
+        pi_union(6, sigma, 16).points, zeros,
+        1.5 * (rng.normal(size=5000) + 1j * rng.normal(size=5000))])
+    want = np.array(expanded_forms(lams, sigma))
+    for got in (np.array([curve_form(lams, sigma), curve_form(lams, -sigma)]),
+                np.array(ellipse_forms(lams, RegionParams(sigma)))):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.9025])
+def test_curve_form_vanishes_on_bloch_spectra(sigma):
+    # every Bloch eigenvalue of a word lies on its curve: tau_w(lam) on E_w
+    worst = 0.0
+    for word in enumerate_words(6, sigma):
+        if word.period < 2:
+            continue
+        tau, gamma = trace_det(word, bloch_spectrum(word, 8).points)
+        x2, y2 = tau.real ** 2, tau.imag ** 2
+        terms = (x2 * (1 - gamma) ** 2 + y2 * (1 + gamma) ** 2
+                 + (1 - gamma * gamma) ** 2)
+        worst = max(worst, (np.abs(curve_form(tau, gamma)) / terms).max())
+    assert worst <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_curve_form_at_unit_gamma_is_a_line():
+    # no division at |gamma| = 1: the zero set is the whole real (gamma = 1)
+    # or imaginary (gamma = -1) axis, beyond the segment [-2, 2] too
+    tau = np.array([0.0, 1.5, -2.0, 5.0, 0.3j, -7j, 1 + 1j])
+    assert curve_form(tau, 1.0).tolist() == [0, 0, 0, 0, 0.36, 196, 4]
+    assert curve_form(tau, -1.0).tolist() == [0, 9, 16, 100, 0, 0, 4]
+    assert curve_form(tau.reshape(7, 1), 1.0).shape == (7, 1)
 
 
 # ---------------------------------------------------------------- regions
@@ -280,6 +353,22 @@ def test_hole_clearance_known_values():
     for pts in ([np.nan, 0.9], [0.69, np.nan]):
         with pytest.raises(ValueError, match="infs or NaNs"):
             hole_clearance(pts, sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 0.9025])
+def test_hole_clearance_of_single_boundary_vertices(sigma):
+    # a point on a polyline vertex has chord distance 0 (or an ulp), and its
+    # own lower bound may round above it: it must still be projected
+    th = np.linspace(0, 2 * np.pi, 8192, endpoint=False)
+    verts = hole_boundary_radius(th, sigma) * np.exp(1j * th)
+    ends = np.roll(verts, -1)
+    f = np.maximum(*ellipse_forms(verts, RegionParams(sigma)))
+    pts = list(verts[f >= 0][::16])
+    if sigma == 0.5:  # a vertex of the polyline from the double-angle radius
+        pts.append(0.49999985293097976 + 0.0011504872829195504j)
+    for z in pts:
+        assert hole_clearance([z], sigma) == segment_distances(z, verts,
+                                                               ends)[0]
 
 
 def union_periods_2(sigma):
@@ -346,6 +435,21 @@ def test_paired_member_cases():
     assert not paired_member(word, "-", 1.2j)   # O point (imaginary axis)
     with pytest.raises(ValueError):
         paired_member(word, "x", 0.6)
+
+
+def test_paired_member_matches_the_expanded_ellipse_pick():
+    rng = np.random.default_rng(29)
+    lams = np.append(1.5 * (rng.normal(size=20000) + 1j * rng.normal(size=20000)),
+                     [np.nan, complex(np.nan, 0.5), complex(0.5, np.nan)])
+    for signs, sigma in (((1,), 0.5), ((1, 1, -1), 0.5), ((1, -1), 0.9025)):
+        word = SignWord(signs, sigma)
+        with np.errstate(invalid="ignore"):  # NaN in quadratic_roots
+            inside = classify(word, lams)["label"] != "O"
+            got = {t: paired_member(word, t, lams) for t in "+-"}
+        f_plus, f_minus = expanded_forms(lams, sigma)
+        assert np.array_equal(got["+"], inside & (f_plus > 0))
+        assert np.array_equal(got["-"], inside & (f_minus > 0))
+        assert not got["+"][-3:].any() and 0 < got["-"].sum()
 
 
 def test_paired_member_array_matches_elementwise():
