@@ -8,13 +8,15 @@ finite alpha grid that union becomes a point cloud.  The open (truncated)
 section A^(N)_c simply drops the corners.
 """
 
+import re
 from itertools import compress
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import __version__, one_line
-from .eigen import SolverFailure, eigvals, eigvals_stack, sort_rows
+from .eigen import (SolverFailure, eigvals, eigvals_stack, solve_blocks,
+                    sort_rows)
 from .metrics import hausdorff, matching_distance, nn_distances
 from .seqcore import (SignWord, c_tilde_array, check_sigma, gamma_plus_word,
                       m_word, rotation_classes, sign_pattern)
@@ -374,7 +376,7 @@ def _orbit_spectra(cs, alpha_count):
             better = (img >= 0) & (img < rep)
             rep[better], how[better] = img[better], e // 2  # pick one (b, c)
     solved = np.flatnonzero(rep == node)
-    _require_memory(20 * (len(solved) + 1) * n * n,
+    _require_memory(_solve_bytes(len(solved), n),
                     f"{len(solved)} sections of size {n}")
     out = np.empty((size, n), dtype=complex)  # before the solve's temporaries
     eig = _periodic_spectra(cs[solved // alpha_count],
@@ -450,21 +452,52 @@ def pi_union(n_max, sigma, alpha_count):
                         {"n_max": n_max, "alpha_count": alpha_count}).sort()
 
 
-def _available_memory():
-    """MemAvailable in bytes from /proc/meminfo, or None where unknown."""
+def _read(path):
+    """The text of a file, or "" where it cannot be read."""
     try:
-        with open("/proc/meminfo") as f:
-            fields = dict(line.split(":", 1) for line in f)
-        return int(fields["MemAvailable"].split()[0]) * 1024
-    except (OSError, KeyError, ValueError, IndexError):
-        return None
+        with open(path) as f:
+            return f.read()
+    except OSError:
+        return ""
+
+
+def _kib(text, key):
+    """Bytes of the `key:  N kB` line of a /proc listing, or None."""
+    found = re.search(rf"^{key}:\s+(\d+) kB$", text, re.M)
+    return int(found[1]) * 1024 if found else None
+
+
+def _available_memory():
+    """Bytes this process can still take, or None where unknown: the least
+    of MemAvailable, the RLIMIT_AS soft limit less VmSize, and the cgroup
+    v2 memory.max less memory.current, over those that are set."""
+    meminfo = _read("/proc/meminfo")
+    free = [_kib(meminfo, "MemAvailable")]
+    if meminfo:  # Linux, which has the resource module too
+        import resource  # only the memory checks need it
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            size = _kib(_read("/proc/self/status"), "VmSize")
+            free.append(soft - (size or 0))
+    group = _read("/proc/self/cgroup").partition("0::")[2].split("\n")[0]
+    top, used = (_read(f"/sys/fs/cgroup{group.rstrip('/')}/memory.{f}")
+                 .strip() for f in ("max", "current"))
+    if top.isdigit() and used.isdigit():
+        free.append(int(top) - int(used))
+    free = [f for f in free if f is not None]
+    return max(min(free), 0) if free else None
+
+
+def _solve_bytes(b, n):
+    """The most a solve of b sections of size n takes: 20 (b + W) n^2 bytes
+    for W = solve_blocks(b, n) threads.  That is the complex stack and, for
+    even n, its (b, n/2, n/2) sublattice product, or for odd n LAPACK's copy
+    of one section in each thread."""
+    return 20 * (b + solve_blocks(b, n)) * n * n
 
 
 def _require_memory(nbytes, what):
-    """ValueError when nbytes for `what` exceed the available memory.  A
-    solve of B sections of size N takes at most 20 (B + 1) N^2 bytes: the
-    complex stack and, for even N, its (B, N/2, N/2) sublattice product,
-    or for odd N LAPACK's copy of one section."""
+    """ValueError when nbytes for `what` exceed the available memory."""
     free = _available_memory()
     if free is not None and nbytes > free:
         raise ValueError(f"{what} would take {nbytes / 2**20:.0f} MB, but "
@@ -510,7 +543,7 @@ def random_periodic_sample(count, n_range=(3, 100), p_sigma=0.5, sigma=0.5,
         twists.append(np.exp(2j * np.pi * g.random()))
         patterns.append(sign_pattern(signs))
         by_size.setdefault(n, []).append((k, sigma * signs))
-    _require_memory(max(20 * (len(b) + 1) * n * n for n, b in by_size.items()),
+    _require_memory(max(_solve_bytes(len(b), n) for n, b in by_size.items()),
                     "the largest stack of sections")
     cloud = SpectrumCloud(sigma, twists, seed=seed,
                           params={"count": count, "n_lo": lo, "n_hi": hi,
@@ -531,7 +564,7 @@ def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0):
         raise ValueError("need n >= 3")
     if not 0.0 < p_sigma < 1.0:
         raise ValueError("p_sigma must be in (0, 1)")
-    _require_memory(40 * n * n, f"sections of size {n}")
+    _require_memory(_solve_bytes(1, n), f"sections of size {n}")
     g = _generator(seed, 13, n, int(round(p_sigma * 10 ** 9)))
     c = sigma * np.where(g.random(n) < p_sigma, 1.0, -1.0)
     alpha = complex(np.exp(2j * np.pi * g.random()))

@@ -101,11 +101,14 @@ def curve_form(tau, gamma):
 def quadratic_roots(tau, gamma):
     """Roots of z^2 - tau z + gamma with |z1| >= |z2| for tau of any shape,
     the larger computed by the cancellation-safe branch and the smaller as
-    gamma / z1 (0 where z1 = 0, that is tau = gamma = 0)."""
+    gamma / z1 (0 where z1 = 0, that is tau = gamma = 0, and NaN, without
+    dividing, where z1 is NaN)."""
     tau = np.asarray(tau, dtype=complex)
     disc = np.sqrt(tau * tau - 4.0 * gamma)
     z1 = 0.5 * (tau + np.where((tau.conj() * disc).real < 0.0, -disc, disc))
-    return z1, np.divide(gamma, z1, out=np.zeros_like(z1), where=z1 != 0)
+    nan = np.isnan(z1)
+    return z1, np.divide(gamma, z1, out=np.where(nan, z1, 0j),
+                         where=(z1 != 0) & ~nan)
 
 
 def classify(word, lam, tol=1e-9):

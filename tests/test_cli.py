@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -42,6 +44,31 @@ def test_cli_import_loads_no_scipy_or_network_stack():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+def test_csv_bodies_do_not_depend_on_blas_threads(tmp_path):
+    """The periodised CSVs of sample (odd N 75, 77, 81 and 87 among its
+    draws) and finite come out the same at 1 and 2 OpenBLAS threads: the
+    eigensolve pins OpenBLAS to one thread.  On a 1-core host both runs use
+    one thread, and the test passes trivially."""
+    src = os.path.dirname(os.path.dirname(hopsign.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads}
+        for argv in (["sample", "--count", "40", "--nmax", "100"],
+                     ["finite", "--nmax", "500"]):
+            subprocess.run([sys.executable, "-m", "hopsign", *argv, "--seed",
+                            "1", "--out-csv", str(out / f"{argv[0]}.csv")],
+                           capture_output=True, check=True, env=env)
+        bodies.append([[line for line in (out / name).read_text().splitlines()
+                        if not line.startswith("#")]
+                       for name in ("sample.csv", "finite.periodic.csv",
+                                    "finite.open.csv")])
+    assert bodies[0] == bodies[1]
 
 
 def test_verify_passes_and_reports_json(capsys):
@@ -381,6 +408,82 @@ def test_finite_too_big_for_memory_exits_2(monkeypatch, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: invalid configur")
     assert "sections of size 1000000" in err and "available" in err
+
+
+def _proc_files(cgroup_max="max"):
+    """/proc and cgroup v2 files of a host with 8 GB available, a
+    process of 600,000 KiB VmSize and a cgroup 700 MiB into its limit."""
+    return {"/proc/meminfo": "MemTotal: 16000000 kB\nMemAvailable: 8000000 kB\n",
+            "/proc/self/status": "Name:\tpython\nVmSize:\t  600000 kB\n",
+            "/proc/self/cgroup": "0::/box\n",
+            "/sys/fs/cgroup/box/memory.max": cgroup_max + "\n",
+            "/sys/fs/cgroup/box/memory.current": str(700 * 2 ** 20) + "\n"}
+
+
+@pytest.mark.parametrize("files, soft, free", [
+    (_proc_files(), resource.RLIM_INFINITY, 8000000 * 1024),
+    (_proc_files(), 900000 * 1024, 300000 * 1024),
+    (_proc_files(), 500000 * 1024, 0),
+    (_proc_files(str(2 ** 30)), resource.RLIM_INFINITY, 324 * 2 ** 20),
+    (_proc_files(str(2 ** 30)), 900000 * 1024, 300000 * 1024),
+    ({}, resource.RLIM_INFINITY, None),
+])
+def test_available_memory_takes_the_least_limit(files, soft, free,
+                                                monkeypatch):
+    monkeypatch.setattr(spectra, "_read", lambda path: files.get(path, ""))
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (soft, resource.RLIM_INFINITY))
+    assert spectra._available_memory() == free
+
+
+def test_address_space_limit_exits_2_before_allocating(monkeypatch, capsys):
+    # under ulimit -v 900000 the MemAvailable estimate alone let this
+    # command through to numpy's allocation of a 1 GiB stack
+    def no_solve(*args):
+        raise AssertionError("a stack was built")
+
+    files = _proc_files()
+    monkeypatch.setattr(spectra, "_read", lambda path: files.get(path, ""))
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (900000 * 1024, resource.RLIM_INFINITY))
+    monkeypatch.setattr(spectra, "_periodic_spectra", no_solve)
+    monkeypatch.setattr(np.linalg, "eigvals", _no_solve)
+    rc = main(["curve", "--nmax", "8", "--branch", "+"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid configur")
+    assert "available" in err
+
+
+CURVE = ["curve", "--nmax", "3", "--branch", "+", "--alpha-count", "512"]
+
+
+def test_failure_in_a_split_block_exits_3(four_cores, fail_off_the_main_thread,
+                                         capsys):
+    # the 257 sections of size 8 are solved in 4 blocks; the last 3 fail
+    rc = main(CURVE)
+    err = capsys.readouterr().err
+    assert rc == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "did not converge" in lines[0]
+
+
+def test_threads_that_cannot_start_change_no_byte(four_cores, tmp_path,
+                                                  monkeypatch, capsys):
+    # under a pid or address-space limit the caller solves every block
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    csv = tmp_path / "c.csv"
+    assert main(CURVE + ["--out-csv", str(csv)]) == 0
+    split = csv.read_bytes(), capsys.readouterr().out
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert main(CURVE + ["--out-csv", str(csv)]) == 0
+    out = capsys.readouterr()
+    assert (csv.read_bytes(), out.out) == split
+    assert "Traceback" not in out.err
 
 
 def test_inclusion_violation_raises_solver_failure_and_exits_3(monkeypatch,

@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopsign.eigen import eigvals, eigvals_stack, oracle_eigvals, sort_rows
+from hopsign import eigen
+from hopsign.eigen import (SolverFailure, eigvals, eigvals_stack,
+                           oracle_eigvals, solve_blocks, sort_rows)
 from hopsign.metrics import matching_distance
 from hopsign.spectra import build_finite, build_periodic
 
@@ -149,6 +152,77 @@ def test_stack_matches_singles():
     assert w.shape == (5, 6)
     for k in range(5):
         assert matching_distance(w[k], np.array(eigvals(stack[k]))) < 1e-10
+
+
+# ------------------------------------------------------ the split solve
+
+def _one_thread_unsplit(a):
+    """One np.linalg.eigvals call on the whole stack at one BLAS thread."""
+    blas = eigen._openblas()
+    before = blas[0]() if blas else None
+    try:
+        if blas:
+            blas[1](1)
+        return sort_rows(np.linalg.eigvals(a))
+    finally:
+        if blas:
+            blas[1](before)
+
+
+@pytest.mark.parametrize("b, n, parts", [
+    (0, 3, 1), (600, 1, 1), (1100, 1, 2), (100, 4, 1), (1000, 4, 4),
+    (300, 7, 4), (200, 8, 3), (5, 100, 1), (12, 101, 2)])
+def test_split_solve_is_bit_equal_to_one_call(four_cores, b, n, parts):
+    # blocks hold more than GIL_FREE_SIZE / n rows, at most one per core
+    assert solve_blocks(b, n) == parts
+    rng = np.random.default_rng(b + n)
+    a = rng.normal(size=(b, n, n)) + 1j * rng.normal(size=(b, n, n))
+    w = eigvals_stack(a)
+    assert w.shape == (b, n)
+    assert np.array_equal(w.view(float), _one_thread_unsplit(a).view(float))
+
+
+def test_failure_in_a_later_block_is_solver_failure(
+        four_cores, fail_off_the_main_thread):
+    a = np.tile(np.diag(np.arange(5.0)), (1000, 1, 1))
+    with pytest.raises(SolverFailure, match="did not converge on a stack"):
+        eigvals_stack(a)
+
+
+def test_a_thread_that_cannot_start_costs_no_bits(four_cores, monkeypatch,
+                                                  capfd):
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(400, 7, 7)) + 1j * rng.normal(size=(400, 7, 7))
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    w = eigvals_stack(a)
+    assert np.array_equal(w.view(float), _one_thread_unsplit(a).view(float))
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.skipif(eigen._openblas() is None,
+                    reason="no OpenBLAS thread-count symbol in this numpy")
+def test_blas_thread_count_is_given_back(four_cores, monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    get, put = eigen._openblas()
+    before, real = get(), np.linalg.eigvals
+    a = np.tile(np.diag(np.arange(5.0)), (1000, 1, 1))
+    try:
+        for count in (1, 2):
+            put(count)
+            eigvals_stack(a)
+            assert get() == count
+            monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+            with pytest.raises(SolverFailure):
+                eigvals_stack(a)
+            monkeypatch.setattr(np.linalg, "eigvals", real)
+            assert get() == count
+    finally:
+        put(before)
 
 
 def test_nilpotent_accuracy_is_limited():

@@ -118,6 +118,20 @@ def test_phi_and_roots_take_arrays():
                   [[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_nan_lam_gives_nan_roots_without_a_warning():
+    # a NaN tau never reaches the division, which warned (and raised under
+    # -W error) in quadratic_roots, classify and paired_member
+    z1, z2 = quadratic_roots(np.array([np.nan, complex(np.nan, 1.0), 1.0]),
+                             0.25)
+    assert np.isnan(z1[:2]).all() and np.isnan(z2[:2]).all()
+    assert z2[2] == 0.25 / z1[2]
+    word = SignWord((1, -1), 0.5)
+    lams = np.array([np.nan, complex(0.5, np.nan), 0.3])
+    assert list(classify(word, lams)["label"]) == ["O", "O", "I"]
+    assert not paired_member(word, "+", lams[:2]).any()
+
+
 def test_classify_on_the_period_one_ellipse():
     # the spectrum of the constant + word is the ellipse
     # (1+sigma) cos t + i (1-sigma) sin t; inside is I, outside O
