@@ -5,9 +5,8 @@ unit superdiagonal, and subdiagonal entries c_n drawn from {+sigma, -sigma}.
 This package computes and cross-checks their spectra along several
 independent routes: sequence square-root maps (Gamma_plus and friends),
 transfer-matrix classification of periodic words, exact integer polynomial
-identities for the special sign sequence c-tilde, dense LAPACK eigenvalues
-checked against an independent characteristic-polynomial oracle, and
-Bloch-decomposition unions over twisted periodic matrices.
+identities for the special sign sequence c-tilde, dense LAPACK eigenvalues,
+and Bloch-decomposition unions over twisted periodic matrices.
 """
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from hopsign.eigen import eigvals, oracle_eigvals
+from hopsign.eigen import eigvals
 from hopsign.metrics import matched, matching_distance, segment_distances
 from hopsign.polyalg import p_table, trace_poly, uv_polys, verify_identities
 from hopsign.seqcore import c_iterate_word, c_tilde
@@ -23,6 +23,7 @@ from hopsign.spectra import (bloch_spectrum, build_finite, build_periodic,
                              square_spectrum_check, ue_bound_check)
 from hopsign.transfer import (RegionParams, decay_check, ellipse_forms,
                               hole_clearance, region_tests_many, rho_curve)
+from reference import section_roots
 
 
 REPORT_LINES = []
@@ -243,32 +244,38 @@ def test_criterion_10_star_points_on_closed_form():
     assert ok, line
 
 
-# member bound of a k-fold oracle cluster (k >= 2), in units of
+# member bound of a k-fold reference root (k >= 2), in units of
 # (eps ||A||_2)^(1/k); see criterion 11
 CLUSTER_C = 10.0
 
 
-def _clusters_against_oracle(m, solver_vals):
-    """Match solver eigenvalues to the oracle's and measure every oracle
-    cluster (equal oracle values, multiplicity k).  Returns a list of
-    (k, mean distance, worst member distance, member bound), the bound
-    being 1e-8 for k = 1 and CLUSTER_C (eps ||A||_2)^(1/k) for k >= 2."""
-    ora = np.array(oracle_eigvals(m))
-    sol = matched(ora, solver_vals)
+def _clusters_against_reference(m, solver_vals):
+    """Match solver eigenvalues to the exact reference roots and measure
+    every root's cluster (the k solver values matched to a root of
+    multiplicity k).  Returns a list of (k, mean distance, worst member
+    distance, member bound), the bound being 1e-8 for k = 1 and
+    CLUSTER_C (eps ||A||_2)^(1/k) for k >= 2."""
+    roots, mult = section_roots(m)
+    ref = np.repeat(roots, mult)
+    sol = matched(ref, solver_vals)
     unit = np.finfo(float).eps * np.linalg.norm(m, 2)
     out = []
-    for value in np.unique(ora):
-        mine = ora == value
-        k = int(mine.sum())
+    for value, k in zip(roots, mult):
+        mine = ref == value
         bound = 1e-8 if k == 1 else CLUSTER_C * unit ** (1.0 / k)
-        out.append((k, abs(sol[mine].mean() - value),
+        out.append((int(k), abs(sol[mine].mean() - value),
                     float(np.abs(sol[mine] - value).max()), bound))
     return out
 
 
 def test_criterion_11_solver_against_oracle():
-    """The main solver and the independent oracle agree on 200 random
-    sign matrices (open sections N 2..10, periodised sections N 3..10).
+    """The main solver agrees with an exact reference on 200 random sign
+    matrices (open sections N 2..10, periodised sections N 3..10).  The
+    reference (tests/reference.py) builds each characteristic polynomial
+    from the stored entries at 30 digits (exactly for the +-1 entries),
+    takes exact multiplicities of the real ones, here the open sections,
+    from sympy's square-free factorisation, and finds the roots by mpmath
+    at 30 digits.
 
     The draw space contains defective matrices: the 3x3 open section with
     opposite signs is nilpotent (A^3 = 0), and some size-7 sections have a
@@ -279,16 +286,17 @@ def test_criterion_11_solver_against_oracle():
     the perturbed roots), gamma its eigenvector conditioning; LAPACK lands
     5e-6 to 7e-6 from the nilpotent section's 0.  The mean of
     the cluster is analytic in E, so it moves by O(||E||) like a simple
-    eigenvalue.  Hence: each oracle cluster's matched solver mean lies within
-    1e-8; each member lies within 1e-8 when k = 1 and within
+    eigenvalue.  Hence: each reference root's matched solver mean lies
+    within 1e-8; each member lies within 1e-8 when k = 1 and within
     CLUSTER_C (eps ||A||_2)^(1/k) when k >= 2.  CLUSTER_C = 10 allows
     p(n) gamma up to 10^k, at least 100, where p(n) ~ n <= 10 for
     Householder and Givens reductions.  A shift of one eigenvalue by 1e-7
     moves its cluster mean by at least 1e-7 / k and fails the draw."""
     rng = np.random.Generator(np.random.Philox(key=[2026, 11]))
     worst_mean = 0.0
+    worst_simple = 0.0
     nbad = 0
-    nmultiple = 0
+    repeated = {}   # multiplicity k >= 2 -> number of such roots seen
     worst_multi = (0.0, 0.0, 1.0)   # (spread / bound, spread, bound)
     for k in range(200):
         periodic = k % 2 == 1
@@ -301,20 +309,26 @@ def test_criterion_11_solver_against_oracle():
             n = int(rng.integers(2, 11))
             c = np.where(rng.random(n - 1) < 0.5, 1.0, -1.0)
             m = build_finite(c)
-        clusters = _clusters_against_oracle(m, eigvals(m))
+        clusters = _clusters_against_reference(m, eigvals(m))
         bad = False
         for mult, dmean, spread, bound in clusters:
             worst_mean = max(worst_mean, dmean)
             bad |= dmean > 1e-8 or spread > bound
-            if mult >= 2 and spread / bound > worst_multi[0]:
-                worst_multi = (spread / bound, spread, bound)
+            if mult == 1:
+                worst_simple = max(worst_simple, spread)
+            else:
+                repeated[mult] = repeated.get(mult, 0) + 1
+                if spread / bound > worst_multi[0]:
+                    worst_multi = (spread / bound, spread, bound)
         nbad += bad
-        nmultiple += max(mult for mult, *_ in clusters) >= 2
     ok = nbad == 0
-    line = report(11, ok, f"{nbad} of 200 sign-matrix draws fail; worst "
-                          f"cluster-mean distance {worst_mean:.3g} "
-                          f"(tol 1e-8); {nmultiple} draws with multiple "
-                          f"oracle eigenvalues, worst member spread "
+    seen = ", ".join(f"{count} of multiplicity {mult}"
+                     for mult, count in sorted(repeated.items()))
+    line = report(11, ok, f"{nbad} of 200 sign-matrix draws fail against "
+                          f"the exact reference; worst simple-root distance "
+                          f"{worst_simple:.3g}, worst cluster-mean distance "
+                          f"{worst_mean:.3g} (tol 1e-8); exact repeated "
+                          f"roots: {seen}; worst member spread "
                           f"{worst_multi[1]:.3g} vs its bound "
                           f"{worst_multi[2]:.3g} = {CLUSTER_C:g} "
                           f"(eps ||A||_2)^(1/k)")

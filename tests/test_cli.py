@@ -33,13 +33,14 @@ def test_derived_path():
 
 
 def test_cli_import_loads_no_scipy_or_network_stack():
-    # every command pays for the CLI's imports: scipy is only a test oracle,
-    # and xml.sax pulls in urllib.request, http.client, ssl and email
+    # every command pays for the CLI's imports: scipy, mpmath and sympy are
+    # only test references, and xml.sax pulls in urllib.request,
+    # http.client, ssl and email
     src = os.path.dirname(os.path.dirname(hopsign.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import hopsign.cli, sys; print(sorted(m for m in sys.modules if "
             "m.split('.')[0] == 'scipy' or m.startswith(('xml.sax', "
-            "'urllib.request'))))")
+            "'urllib.request', 'mpmath', 'sympy'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopsign import __version__, spectra
-from hopsign.eigen import eigvals, eigvals_stack, oracle_eigvals
+from hopsign.eigen import eigvals, eigvals_stack
 from hopsign.metrics import (hausdorff, matched, matching_distance,
                              nn_distances, segment_distances)
 from hopsign.seqcore import (SignWord, c_iterate_word, c_tilde_array, m_word,
@@ -18,6 +18,7 @@ from hopsign.spectra import (SpectrumCloud, _assert_inclusion, _m_ring_stack,
                              random_periodic_sample, square_spectrum_check,
                              symmetry_check, ue_bound_check, unit_grid)
 from hopsign.transfer import det_residual
+from reference import section_eigvals
 
 
 # ---------------------------------------------------------------- builders
@@ -470,17 +471,16 @@ def test_half_size_route_matches_oracle(n, period, signs, sigma, turns):
     # Bloch sections of N = 4 among them) and twists near +-1 at sigma = 1
     # give roots at or near 0, where the half-size result is not kept.  A
     # root with k - 1 others within 1e-2 is held to criterion 11's k-fold
-    # floor 10 (eps ||A||_2)^(1/k), which the oracle itself needs: at
-    # sigma = 1, signs -+-+ and twist angle 3.7e-7 the exact roots are
-    # (+-1 +- i) 4.3272799e-4, which the route returns, and the oracle's lie
-    # 6.6e-5 from them
+    # floor 10 (eps ||A||_2)^(1/k): at sigma = 1, signs -+-+ and twist angle
+    # 3.7e-7 the exact roots are (+-1 +- i) 4.3272799e-4, a cluster that a
+    # backward-stable solver may scatter by (eps ||A||_2)^(1/4)
     p = period or n
     c = sigma * np.array(signs[:p] * (n // p), dtype=float)
     alphas = np.exp(2j * np.pi * np.array(turns))
     for al, row in zip(alphas, spectra._periodic_spectra(c, alphas)):
         a = build_periodic(c, al)
         unit = np.finfo(float).eps * np.linalg.norm(a, 2)
-        ref = np.array(oracle_eigvals(a))
+        ref = section_eigvals(a)
         k = (np.abs(ref[:, None] - ref) < 1e-2).sum(axis=1)
         tol = np.where(k > 1, 10.0 * unit ** (1.0 / k),
                        1e-7 * max(1.0, np.abs(ref).max()))
@@ -803,8 +803,10 @@ def test_random_periodic_sample_validation():
 
 
 def test_samplers_refuse_sections_beyond_memory(monkeypatch):
-    # a solve of B sections of size N takes at most 20 (B + 1) N^2 bytes,
-    # and a size's B is its point count over N
+    # a solve of B sections of size N in W row blocks takes at most
+    # 20 (B + W) N^2 bytes, and a size's B is its point count over N; the
+    # needs below take W = 1, which holds because these stacks are too small
+    # to split
     args = (40, (3, 12), 0.5, 0.5, 3)
     n, points = np.unique(random_periodic_sample(*args).N, return_counts=True)
     for need, call in ((int((20 * (points + n) * n).max()),

@@ -457,9 +457,8 @@ def test_paired_member_matches_the_expanded_ellipse_pick():
                      [np.nan, complex(np.nan, 0.5), complex(0.5, np.nan)])
     for signs, sigma in (((1,), 0.5), ((1, 1, -1), 0.5), ((1, -1), 0.9025)):
         word = SignWord(signs, sigma)
-        with np.errstate(invalid="ignore"):  # NaN in quadratic_roots
-            inside = classify(word, lams)["label"] != "O"
-            got = {t: paired_member(word, t, lams) for t in "+-"}
+        inside = classify(word, lams)["label"] != "O"
+        got = {t: paired_member(word, t, lams) for t in "+-"}
         f_plus, f_minus = expanded_forms(lams, sigma)
         assert np.array_equal(got["+"], inside & (f_plus > 0))
         assert np.array_equal(got["-"], inside & (f_minus > 0))
