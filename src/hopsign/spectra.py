@@ -30,9 +30,9 @@ MAX_PERIOD = 14
 CSV_CHUNK = 4096
 # pi_union and bloch_spectrum refuse a cloud that would not fit in memory at
 # this many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV
-# and SVG output peaks at 211.2 MiB RSS, 35.6 MiB after import, for 2,058,240
-# points (89.5 bytes a point)
-BYTES_PER_POINT = 90
+# and SVG output peaks at 169.3 MiB RSS, 35.5 MiB after import, for 2,058,240
+# points (68.2 bytes a point), in cmd_pi_union's hole checks after the sort
+BYTES_PER_POINT = 69
 # _periodic_spectra solves an even-N section with a root below this whole
 ROOT_FLOOR = 1 / 16
 
@@ -43,8 +43,10 @@ class SpectrumCloud:
     table, the generation parameters, and the seed.
 
     Points are stored as the (B, n) blocks they were added in, each with one
-    (word_id, twist, N) tag per row; a twist tag is an index into the
-    read-only complex table `twists`."""
+    int32 pair index and one int32 twist index per row: a pair index points
+    into the cloud's table of its distinct (word_id, N) pairs, kept as int64,
+    and a twist index into the read-only complex table `twists`.  A sorted
+    cloud is one (P, 1) block, 24 bytes a point."""
 
     def __init__(self, sigma, twists=(1.0,), params=None, seed=None):
         self.sigma = float(sigma)
@@ -53,7 +55,8 @@ class SpectrumCloud:
         self.params = dict(params or {})
         self.seed = seed
         self.words = {}
-        self._blocks = []  # (points (B, n), word_id, twist (int32), N)
+        self._pairs = {}  # (word_id, N) -> its pair index, in index order
+        self._blocks = []  # (points (B, n), pair (B, 1), twist (B, 1))
 
     def register_word(self, word_id, pattern):
         self.words[int(word_id)] = pattern
@@ -71,22 +74,38 @@ class SpectrumCloud:
         if not np.all((twist >= 0) & (twist < len(self.twists))):
             raise ValueError(f"twist index outside the table of "
                              f"{len(self.twists)} twists")
-        self._blocks.append((pts, word_id, twist.astype(np.int32), N))
+        # each distinct (word_id, N) pair of the rows is looked up once
+        order = np.lexsort((N.ravel(), word_id.ravel()))
+        w, n = word_id[order, 0], N[order, 0]
+        new = np.r_[True, (w[1:] != w[:-1]) | (n[1:] != n[:-1])]
+        index = np.int32([self._pairs.setdefault(p, len(self._pairs))
+                          for p in zip(w[new].tolist(), n[new].tolist())])
+        pair = index[np.cumsum(new) - 1][order.argsort(), None]
+        self._blocks.append((pts, pair, twist.astype(np.int32)))
 
     def _column(self, k, dtype):
-        """Column k of the blocks (0 points, 1 word_id, 2 twist, 3 N), one
-        entry per point in insertion order; read-only, and a view of the
-        stored column when the cloud holds one (B, 1) block, as after sort."""
+        """Column k of the blocks (0 points, 1 pair, 2 twist), one entry per
+        point in insertion order; read-only, and a view of the stored column
+        when the cloud holds one (B, 1) block, as after sort."""
         cols = [np.broadcast_to(blk[k], blk[0].shape).ravel()
                 for blk in self._blocks] or [np.zeros(0, dtype)]
         col = cols[0] if len(cols) == 1 else np.concatenate(cols)
         col.flags.writeable = False
         return col
 
+    _table = property(lambda self: np.array(
+        list(self._pairs), dtype=int).reshape(-1, 2))
+
+    def _tag(self, k):
+        """word_id (k = 0) or N (k = 1) of each point, from the pair table."""
+        col = self._table[self._column(1, np.int32), k]
+        col.flags.writeable = False
+        return col
+
     points = property(lambda self: self._column(0, complex))
-    word_id = property(lambda self: self._column(1, int))
+    word_id = property(lambda self: self._tag(0))
     twist = property(lambda self: self._column(2, np.int32))
-    N = property(lambda self: self._column(3, int))
+    N = property(lambda self: self._tag(1))
     alpha = property(lambda self: self.twists[self.twist])
 
     def __len__(self):
@@ -97,13 +116,19 @@ class SpectrumCloud:
         output independent of generation order.  Equal twist values (0.0 and
         -0.0 too) share a rank, so their rows keep insertion order.  numpy
         orders complex values by (re, im) with -0.0 equal to 0.0, so a stable
-        sort of the points, taken in tag order, is that 5-key lexsort."""
-        cols = [self.points, self.word_id, self.twist, self.N]
+        sort of the points, taken in the order of one key, the pair rank by
+        (N, word_id) times the twist count plus the twist rank, is that
+        5-key lexsort."""
+        cols = [self.points, self._column(1, np.int32), self.twist]
         self._blocks = []  # the columns hold the only copy from here on
-        rank = np.unique(self.twists, return_inverse=True)[1].astype(np.int32)
-        order = np.lexsort((rank[cols[2]], cols[1], cols[3]))
-        order = order[np.argsort(cols[0][order], kind="stable")]
-        for k in range(4):  # one reordered column alive at a time
+        pair_rank = np.lexsort(self._table.T).argsort()
+        twist_rank = np.unique(self.twists, return_inverse=True)[1]
+        order = np.argsort(pair_rank[cols[1]] * len(self.twists)
+                           + twist_rank[cols[2]], kind="stable")
+        for k in range(3):  # one reordered column alive at a time
+            cols[k] = cols[k][order]
+        order = np.argsort(cols[0], kind="stable")
+        for k in range(3):
             cols[k] = cols[k][order, None]
         self._blocks = [tuple(cols)]
         return self
@@ -118,36 +143,26 @@ class SpectrumCloud:
                 *(f"word {w} {self.words[w]}" for w in sorted(self.words)),
                 "columns: re, im, N, word_id, alpha_re, alpha_im"]
         head = "".join(f"# {h}\n" for h in head if h).encode()
-        # ", re, im\n" per twist, compacted once to keep chunk rows narrow
-        t = np.zeros((len(self.twists), 2, 27), np.uint8)
-        t[..., :2], t[:, 1, 26] = _COMMA, ord("\n")
-        t[..., 2:26] = g17(self.twists.view(float)).reshape(-1, 2, 24)
-        tails = _byte_rows(t.tobytes().translate(None, b"\0").splitlines(True))
-        pts, wid, tw, nn = self.points, self.word_id, self.twist, self.N
+        # ", re, im\n" per twist and ", N, word_id" per pair, formatted once
+        tails = np.array([b", %.17g, %.17g\n" % (a.real, a.imag)
+                          for a in self.twists.tolist()], dtype=bytes)
+        pair_tails = np.array([b", %d, %d" % (n, w) for w, n in self._pairs],
+                              dtype=bytes)
+        pts, pair, tw = self.points, self._column(1, np.int32), self.twist
+        # zero-padded rows: re, ", ", im, the pair's tail and the twist's tail
+        rows = np.zeros(min(len(pts), CSV_CHUNK), [
+            ("re", "S24"), ("sep", "S2"), ("im", "S24"),
+            ("pair", pair_tails.dtype), ("twist", tails.dtype)])
+        rows["sep"] = b", "
         with open(path, "wb") as f:
             f.write(head)
             for lo in range(0, len(pts), CSV_CHUNK):
                 s = slice(lo, lo + CSV_CHUNK)
-                # zero-padded rows: re, ", ", im, ", %d" of N and word id
-                # from one table per chunk, and the twist's tail
-                num = g17(pts[s].view(float)).reshape(-1, 48)
-                k, ik = np.unique(np.r_[nn[s], wid[s]], return_inverse=True)
-                ints = _byte_rows([b", %d" % i for i in k.tolist()])
-                m = len(num)
-                rows = np.concatenate(
-                    (num[:, :24], np.broadcast_to(_COMMA, (m, 2)), num[:, 24:],
-                     ints[ik.reshape(2, m).T].reshape(m, -1), tails[tw[s]]),
-                    axis=1)
-                f.write(rows.tobytes().translate(None, b"\0"))
-
-
-_COMMA = np.frombuffer(b", ", np.uint8)
-
-
-def _byte_rows(pieces):
-    """A list of bytes as the zero-padded rows of a uint8 array."""
-    a = np.array(pieces, dtype=bytes)
-    return a.view(np.uint8).reshape(len(a), a.itemsize)
+                num = g17(pts[s].view(float)).view("S24").reshape(-1, 2)
+                r = rows[:len(num)]
+                r["re"], r["im"] = num.T
+                r["pair"], r["twist"] = pair_tails[pair[s]], tails[tw[s]]
+                f.write(r.tobytes().translate(None, b"\0"))
 
 
 def _split(a):

@@ -138,6 +138,9 @@ def test_cloud_tags_and_len():
             c.add(block, 0, bad, 3)
     assert len(c) == 15
     assert list(SpectrumCloud(0.5).twists) == [1.0]  # the default table
+    shared = _shared_pair_cloud()  # one (word_id, N) pair from two blocks
+    assert list(shared.word_id) == [5, 5, 2, 2, 5, 5, 5, 5, 5, 5]
+    assert list(shared.N) == [4, 4, 4, 4, 3, 3, 4, 4, 4, 4]
 
 
 def test_cloud_sort_is_generation_order_independent():
@@ -173,6 +176,12 @@ TWISTS = [1 + 0j, complex(1, -0.0), -1 + 0j, complex(-1, -0.0), 1j,
           complex(-0.0, 1)]
 
 
+# word ids and sizes: small values, which repeat across rows and blocks, and
+# the int64 extremes of _wide_tag_cloud
+WIDE_TAGS = st.sampled_from([0, 1, 2, 3, -1, -2**31, 2**32, 2**63 - 1,
+                             -2**63])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cloud_sort_matches_five_key_lexsort(data):
@@ -180,22 +189,38 @@ def test_cloud_sort_matches_five_key_lexsort(data):
                                 max_size=6))
     cloud = SpectrumCloud(0.5, twists)
     tags = st.integers(0, len(twists) - 1)
-    for _ in range(data.draw(st.integers(1, 5))):
-        rows, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+
+    def points(rows, n):
         parts = data.draw(st.lists(st.sampled_from(TIE_PARTS),
                                    min_size=2 * rows * n,
                                    max_size=2 * rows * n))
-        word = data.draw(st.integers(0, 2) | st.lists(
-            st.integers(0, 2), min_size=rows, max_size=rows))
-        twist = data.draw(tags | st.lists(tags, min_size=rows,
-                                          max_size=rows))
-        cloud.add(np.array(parts).view(complex).reshape(rows, n), word,
-                  twist, data.draw(st.integers(3, 4)))
+        return np.array(parts).view(complex).reshape(rows, n)
+
+    # one word id at two sizes, then blocks with shared or per-row tags
+    cloud.add(points(2, 1), data.draw(WIDE_TAGS), 0, data.draw(
+        st.lists(WIDE_TAGS, min_size=2, max_size=2, unique=True)))
+    for _ in range(data.draw(st.integers(1, 5))):
+        rows, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        word, twist, size = (data.draw(s | st.lists(
+            s, min_size=rows, max_size=rows)) for s in (WIDE_TAGS, tags,
+                                                         WIDE_TAGS))
+        cloud.add(points(rows, n), word, twist, size)
     want = lexsort_reference(cloud)
     cloud.sort()
     got = [cloud.points, cloud.word_id, cloud.twist, cloud.N]
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_sorted_cloud_holds_24_bytes_a_point():
+    # points and two int32 indices; word_id and N are gathered from the
+    # (word_id, N) table on read
+    c = pi_union(6, 0.5, 16)
+    assert sum(a.nbytes for blk in c._blocks for a in blk) <= 24 * len(c)
+    for col, dtype in ((c.word_id, np.int64), (c.N, np.int64),
+                       (c.twist, np.int32)):
+        assert col.dtype == dtype and len(col) == len(c)
+        assert not col.flags.writeable
 
 
 def test_cloud_csv_header_and_determinism(tmp_path):
@@ -283,13 +308,23 @@ def _wide_tag_cloud():
     return c
 
 
+def _shared_pair_cloud():
+    # the pair (5, 4) in two blocks, and word id 5 at sizes 4 and 3
+    c = SpectrumCloud(0.5, unit_grid(3))
+    c.add(np.arange(6).reshape(3, 2) - 1.5j, [5, 2, 5], [0, 1, 2], [4, 4, 3])
+    c.add(np.arange(4) + 0.5j, 5, 1, 4)
+    return c
+
+
 @pytest.mark.parametrize("make", [
     lambda: pi_union(4, 0.5, 8), _signed_zero_cloud, _wide_tag_cloud,
     lambda: random_periodic_sample(40, (3, 30), 0.5, 0.5, 1),
-    lambda: SpectrumCloud(0.5)],
-    ids=["pi_union", "signed_zero", "wide_tags", "sample", "empty"])
+    lambda: SpectrumCloud(0.5), _shared_pair_cloud,
+    lambda: _shared_pair_cloud().sort()],
+    ids=["pi_union", "signed_zero", "wide_tags", "sample", "empty",
+         "shared_pairs", "shared_pairs_sorted"])
 def test_cloud_csv_matches_per_row_format(tmp_path, make):
-    # write_csv formats values by array arithmetic and ints once per chunk;
+    # write_csv formats values by array arithmetic and ints once per pair;
     # its rows equal a per-row %-format of every column.  The unsorted sample
     # holds values below 1e-4, which take the "%.17g" fallback
     c = make()
