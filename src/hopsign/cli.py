@@ -27,8 +27,7 @@ from .spectra import (SpectrumCloud, bloch_spectrum, closed_form_star,
                       pi_union, random_finite_sample, random_periodic_sample,
                       square_spectrum_check, symmetry_check, ue_bound_check)
 from .svgfig import cloud_figure, overlay_names
-from .transfer import (RegionParams, decay_check, ellipse_forms,
-                       hole_clearance, rho_curve)
+from .transfer import RegionParams, decay_check, hole_clearance, rho_curve
 
 
 def _emit(cloud, args, default_overlays="", tag=None, figure=None):
@@ -56,15 +55,14 @@ def _derived_path(path, tag):
 
 def cmd_pi_union(args):
     cloud = pi_union(args.nmax, args.sigma, args.alpha_count)
-    pts = cloud.points
-    f = np.maximum(*ellipse_forms(pts, RegionParams(args.sigma)))
-    n_in = int((f < 0).sum())  # in the open hole, both ellipse interiors
+    # at sigma = 1 the ellipse forms are 4 Im^2 and 4 Re^2: the hole is empty
+    n_in, gap = (hole_clearance(cloud.points, args.sigma, count=True)
+                 if args.sigma < 1.0 else (0, None))
     print(f"pi-union: sigma={args.sigma:g} n_max={args.nmax} "
           f"alpha_count={args.alpha_count}: {len(cloud)} points")
     print(f"points inside the central hole: {n_in}")
-    if args.sigma < 1.0:
-        print(f"min distance to the closed hole: "
-              f"{hole_clearance(pts, args.sigma):.6g}")
+    if gap is not None:
+        print(f"min distance to the closed hole: {gap:.6g}")
     else:
         print("min distance to the closed hole: n/a (hole empty at sigma=1)")
     _emit(cloud, args, default_overlays="ellipses,annulus,diamond,hole")

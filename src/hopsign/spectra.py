@@ -30,9 +30,9 @@ MAX_PERIOD = 14
 CSV_CHUNK = 4096
 # pi_union and bloch_spectrum refuse a cloud that would not fit in memory at
 # this many bytes per point: `pi-union --nmax 12 --alpha-count 256` with CSV
-# and SVG output peaks at 169.3 MiB RSS, 35.5 MiB after import, for 2,058,240
-# points (68.2 bytes a point), in cmd_pi_union's hole checks after the sort
-BYTES_PER_POINT = 69
+# and SVG output peaks at 144.8 MiB RSS, 35.8 MiB after import, for 2,058,240
+# points (55.5 bytes a point), in the sort's final gather of the points
+BYTES_PER_POINT = 56
 # _periodic_spectra solves an even-N section with a root below this whole
 ROOT_FLOOR = 1 / 16
 
@@ -118,19 +118,30 @@ class SpectrumCloud:
         orders complex values by (re, im) with -0.0 equal to 0.0, so a stable
         sort of the points, taken in the order of one key, the pair rank by
         (N, word_id) times the twist count plus the twist rank, is that
-        5-key lexsort."""
-        cols = [self.points, self._column(1, np.int32), self.twist]
-        self._blocks = []  # the columns hold the only copy from here on
+        5-key lexsort.  The key is a row's: each block is copied to its
+        sorted rows' places and dropped, each point carries its row index."""
+        blocks, self._blocks = self._blocks, []
+        pair, twist = (np.concatenate([blk[k].ravel() for blk in blocks]
+                                      or [np.zeros(0, np.int32)])
+                       for k in (1, 2))
+        width = np.repeat(np.array([blk[0].shape[1] for blk in blocks], int),
+                          [len(blk[0]) for blk in blocks])
         pair_rank = np.lexsort(self._table.T).argsort()
         twist_rank = np.unique(self.twists, return_inverse=True)[1]
-        order = np.argsort(pair_rank[cols[1]] * len(self.twists)
-                           + twist_rank[cols[2]], kind="stable")
-        for k in range(3):  # one reordered column alive at a time
-            cols[k] = cols[k][order]
-        order = np.argsort(cols[0], kind="stable")
-        for k in range(3):
-            cols[k] = cols[k][order, None]
-        self._blocks = [tuple(cols)]
+        order = np.argsort(pair_rank[pair] * len(self.twists)
+                           + twist_rank[twist], kind="stable")
+        start = np.empty_like(width)  # each row's first point
+        start[order] = np.cumsum(width[order]) - width[order]
+        points, lo = np.empty(width.sum(), complex), 0
+        while blocks:  # each block is dropped once copied
+            b, n = blocks[0][0].shape
+            points[start[lo:lo + b, None] + np.arange(n)] = blocks.pop(0)[0]
+            lo += b
+        row = np.repeat(order.astype(np.int32), width[order])
+        order = np.argsort(points, kind="stable")
+        row = row[order]  # then points: one old column freed at a time
+        points = points[order, None]
+        self._blocks = [(points, pair[row, None], twist[row, None])]
         return self
 
     def write_csv(self, path, command=None):
@@ -234,15 +245,15 @@ def g17(values):
     return buf
 
 
-def _band(sub, diag=0.0):
-    """(..., n, n) tridiagonal sections: subdiagonal sub (..., n-1), unit
-    superdiagonal, diagonal diag (scalar or n values)."""
+def _band(sub, diag=0.0, sup=1.0):
+    """(..., n, n) tridiagonal sections: subdiagonal sub (..., n-1),
+    diagonal diag (scalar or n values), superdiagonal sup (scalar)."""
     sub = np.asarray(sub, dtype=float)
     n = sub.shape[-1] + 1
     a = np.zeros(sub.shape[:-1] + (n, n), dtype=complex)
     idx = np.arange(n)
     a[..., idx, idx] = diag
-    a[..., idx[:-1], idx[1:]] = 1.0
+    a[..., idx[:-1], idx[1:]] = sup
     a[..., idx[1:], idx[:-1]] = sub
     return a
 
@@ -269,37 +280,41 @@ def build_periodic(c, alpha):
     return _periodic_stack(c, [alpha])[0]
 
 
-def _periodic_stack(c, alphas, diag=0.0):
+def _periodic_stack(c, alphas, diag=0.0, half=False):
     """(B, N, N) stack of periodised sections, one twist per row: c is (N,)
     (shared by all rows) or (B, N); each row is the band on c_1..c_{N-1}
-    (with diagonal diag) plus the corners alpha c_N and 1/alpha."""
+    (with diagonal diag) plus the corners alpha c_N and 1/alpha; with half
+    (even N, diag 0), its blocks [:, 0::2, 1::2] and [:, 1::2, 0::2] only."""
     alphas = np.asarray(alphas, dtype=complex).ravel()
     c = np.broadcast_to(np.asarray(c, float), (len(alphas), np.shape(c)[-1]))
-    stack = _band(c[:, :-1], diag)
-    stack[:, 0, -1] = alphas * c[:, -1]
-    stack[:, -1, 0] = 1.0 / alphas
-    return stack
+    if half:  # even to odd sites and back
+        p = _band(c[:, 1:-1:2], 1.0, 0.0)
+        q = _band(np.zeros_like(c[:, 1:-1:2]), c[:, 0::2])
+    else:
+        p = q = _band(c[:, :-1], diag)
+    p[:, 0, -1] = alphas * c[:, -1]
+    q[:, -1, 0] = 1.0 / alphas
+    return (p, q) if half else p
 
 
 def _periodic_spectra(c, alphas):
     """Sorted (B, N) spectra of _periodic_stack(c, alphas), checked by
     _assert_inclusion at sigma = max |c|: the one periodised-section solve.
     Even N is solved at half size: on the odd and even sites a zero-diagonal
-    section is A = [[0, B], [C, 0]], so spec A = +-sqrt(spec BC).  A root lam
-    carries a backward error of about eps ||A||^2 / |lam|, so a section with
-    a root below ROOT_FLOOR (sigma > 1 - ROOT_FLOOR only) is solved whole."""
-    s = _periodic_stack(c, alphas)
-    if s.shape[-1] % 2:
-        eig = eigvals_stack(s)
-    else:
-        s = s[:, 0::2, 1::2] @ s[:, 1::2, 0::2]  # frees the full stack
-        root = np.sqrt(eigvals_stack(s))
+    section is A = [[0, P], [Q, 0]], so spec A = +-sqrt(spec PQ).  A root
+    lam carries a backward error of about eps ||A||^2 / |lam|, so sections
+    with a root below ROOT_FLOOR (sigma > 1 - ROOT_FLOOR only) are solved
+    whole, half of the stack at a time."""
+    if np.shape(c)[-1] % 2:
+        eig = eigvals_stack(_periodic_stack(c, alphas))
+    else:  # P and Q are freed once multiplied
+        root = np.sqrt(eigvals_stack(
+            np.matmul(*_periodic_stack(c, alphas, half=True))))
         eig = sort_rows(np.concatenate([root, -root], axis=1))
-        near = np.abs(root).min(axis=1) < ROOT_FLOOR
-        if near.any():
-            rows = np.broadcast_to(np.asarray(c, float), eig.shape)[near]
-            eig[near] = eigvals_stack(
-                _periodic_stack(rows, np.ravel(alphas)[near]))
+        near = np.flatnonzero(np.abs(root).min(axis=1) < ROOT_FLOOR)
+        for part in filter(len, np.array_split(near, 2)):
+            eig[part] = eigvals_stack(_periodic_stack(
+                np.broadcast_to(c, eig.shape)[part], np.ravel(alphas)[part]))
     _assert_inclusion(eig, float(np.abs(c).max()))
     return eig
 
@@ -484,8 +499,9 @@ def _kib(text, key):
 
 def _available_memory():
     """Bytes this process can still take, or None where unknown: the least
-    of MemAvailable, the RLIMIT_AS soft limit less VmSize, and the cgroup
-    v2 memory.max less memory.current, over those that are set."""
+    of MemAvailable, the RLIMIT_AS soft limit less VmSize, the cgroup v2
+    memory.max less memory.current and the v1 memory.limit_in_bytes (no
+    limit: 2^63 less a page) less memory.usage_in_bytes, where they are set."""
     meminfo = _read("/proc/meminfo")
     free = [_kib(meminfo, "MemAvailable")]
     if meminfo:  # Linux, which has the resource module too
@@ -494,21 +510,26 @@ def _available_memory():
         if soft != resource.RLIM_INFINITY:
             size = _kib(_read("/proc/self/status"), "VmSize")
             free.append(soft - (size or 0))
-    group = _read("/proc/self/cgroup").partition("0::")[2].split("\n")[0]
-    top, used = (_read(f"/sys/fs/cgroup{group.rstrip('/')}/memory.{f}")
-                 .strip() for f in ("max", "current"))
-    if top.isdigit() and used.isdigit():
-        free.append(int(top) - int(used))
+    for v1, group in re.findall(r"^\d+:(memory|):(.*)$",
+                                _read("/proc/self/cgroup"), re.M):
+        top, used = (_read(f"/sys/fs/cgroup{'/memory' if v1 else ''}"
+                           f"{group.rstrip('/')}/memory.{f}").strip()
+                     for f in (("limit_in_bytes", "usage_in_bytes") if v1
+                               else ("max", "current")))
+        if top.isdigit() and used.isdigit() and int(top) < 2 ** 62:
+            free.append(int(top) - int(used))
     free = [f for f in free if f is not None]
     return max(min(free), 0) if free else None
 
 
-def _solve_bytes(b, n):
-    """The most a solve of b sections of size n takes: 20 (b + W) n^2 bytes
-    for W = solve_blocks(b, n) threads.  That is the complex stack and, for
-    even n, its (b, n/2, n/2) sublattice product, or for odd n LAPACK's copy
-    of one section in each thread."""
-    return 20 * (b + solve_blocks(b, n)) * n * n
+def _solve_bytes(b, n, whole=False):
+    """The most a solve of b sections of size n takes: (k b + 20 W) n^2 +
+    64 b n bytes for W = solve_blocks(b, n) threads, each with LAPACK's copy
+    of a section, and four (b, n) eigenvalue arrays; k = 16, a complex
+    stack, when solved whole (odd n, or whole), else 12: the two half-size
+    blocks and their product, or half the sections solved whole."""
+    k = 16 if whole or n % 2 else 12
+    return ((k * b + 20 * solve_blocks(b, n)) * n + 64 * b) * n
 
 
 def _require_memory(nbytes, what):
@@ -579,7 +600,7 @@ def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0):
         raise ValueError("need n >= 3")
     if not 0.0 < p_sigma < 1.0:
         raise ValueError("p_sigma must be in (0, 1)")
-    _require_memory(_solve_bytes(1, n), f"sections of size {n}")
+    _require_memory(_solve_bytes(1, n, whole=True), f"sections of size {n}")
     g = _generator(seed, 13, n, int(round(p_sigma * 10 ** 9)))
     c = sigma * np.where(g.random(n) < p_sigma, 1.0, -1.0)
     alpha = complex(np.exp(2j * np.pi * g.random()))

@@ -188,9 +188,8 @@ def cloud_figure(cloud, overlays=(), xmax=None):
     pts = cloud.points
     if xmax is None:
         reach = 1.0 + cloud.sigma
-        if len(pts):
-            reach = max(reach, float(np.abs(pts.real).max()),
-                        float(np.abs(pts.imag).max()))
+        for v in (pts.real, pts.imag) if len(pts) else ():  # no |v| array
+            reach = max(reach, -float(v.min()), float(v.max()))
         xmax = 1.08 * reach
     fig = SvgFigure(xmax=xmax)
     fig.add_axes()

@@ -29,6 +29,7 @@ from .seqcore import c_tilde_array, check_sigma
 RESCALE_EVERY = 32  # factors between the rescalings of transfer_product
 DECAY_HORIZON = 2048  # steps of the decay_check recurrence
 HOLE_SAMPLES = 8192  # vertices of the hole_clearance boundary polyline
+HOLE_CHUNK = 65536  # points hole_clearance reads at a time
 
 
 def transfer_product(c, lam):
@@ -196,35 +197,45 @@ def hole_boundary_radius(theta, sigma):
                       rho_curve(0, "-", theta, sigma))
 
 
-def hole_clearance(lams, sigma):
+def hole_clearance(lams, sigma, count=False):
     """Minimum distance from a finite point set to the closed central hole,
     by exact projection onto the chords of a dense boundary polyline; 0 when
-    a point lies in the open hole, where f = max(f_plus, f_minus) < 0.
+    a point lies in the open hole, where f = max(f_plus, f_minus) < 0.  With
+    count, (the number of points in the open hole, that distance).
 
     Both ellipses contain the hole.  A point with f >= 0 lies on or outside
     the copies of both ellipses scaled by k = sqrt(1 + f / (1 - sigma^2)^2),
     and those copies lie at least (k - 1)(1 - sigma), k - 1 times the
     smaller semi-axis, outside the ellipses.  The chords lie in the convex
     hole, so that bound is at most the chord distance: after the point of
-    least bound, only it and the points whose bound does not exceed its
-    chord distance are projected."""
+    least f, so of least bound, only the points whose bound does not exceed
+    its chord distance are projected; each pass reads HOLE_CHUNK points."""
     params = RegionParams(sigma)
-    pts = np.asarray_chkfinite(lams, dtype=complex).ravel()
+    pts = np.asarray(lams, dtype=complex).ravel()
     if len(pts) == 0:
         raise ValueError("empty point set")
-    f = np.maximum(*ellipse_forms(pts, params))
-    if (f < 0).any():
-        return 0.0
-    th = np.linspace(0.0, 2.0 * np.pi, HOLE_SAMPLES, endpoint=False)
-    verts = hole_boundary_radius(th, sigma) * np.exp(1j * th)
-    starts, ends = verts, np.roll(verts, -1)
-    s = params.sigma
-    low = (np.sqrt(1.0 + f / (1.0 - s * s) ** 2) - 1.0) * (1.0 - s)
-    least = np.argmin(low)
-    best = segment_distances(pts[least], starts, ends)[0]
-    near = low <= best * (1.0 + 1e-9)  # on the axes, bound == distance
-    near[least] = True  # even if its bound rounds above its distance
-    return float(segment_distances(pts[near], starts, ends).min())
+
+    def chunks():  # (first point, points, f) of each chunk
+        for lo in range(0, len(pts), HOLE_CHUNK):
+            z = np.asarray_chkfinite(pts[lo:lo + HOLE_CHUNK])
+            yield lo, z, np.maximum(*ellipse_forms(z, params))
+
+    n_in, least = 0, (np.inf, 0)  # the least f and its first point
+    for lo, _, f in chunks():
+        n_in += int(np.count_nonzero(f < 0))
+        k = np.argmin(f)
+        least = min(least, (f[k], lo + k))
+    gap, s = 0.0, params.sigma
+    if not n_in:  # only now the polyline: rho_curve refuses sigma = 1
+        th = np.linspace(0.0, 2.0 * np.pi, HOLE_SAMPLES, endpoint=False)
+        verts = hole_boundary_radius(th, sigma) * np.exp(1j * th)
+        starts, ends = verts, np.roll(verts, -1)
+        best = gap = segment_distances(pts[least[1]], starts, ends)[0]
+        for _, z, f in chunks():  # on the axes, bound == distance
+            low = (np.sqrt(1.0 + f / (1.0 - s * s) ** 2) - 1.0) * (1.0 - s)
+            near = z[low <= best * (1.0 + 1e-9)]
+            gap = segment_distances(near, starts, ends).min(initial=gap)
+    return (n_in, float(gap)) if count else float(gap)
 
 
 def paired_member(word_c, tail_sign, lam, tol=1e-9):

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,3 +37,17 @@ def fail_off_the_main_thread(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", solve)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(call): the most bytes that numpy and Python allocated during
+    call() held at one time, as tracemalloc counts them."""
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -99,6 +99,20 @@ def test_pi_union_hole_count_is_region_tests_in_h(sigma, capsys):
                                      RegionParams(sigma))["in_H"].sum()
 
 
+@pytest.mark.parametrize("sigma", [0.5, 0.9025, 1.0])
+def test_pi_union_hole_pass_in_chunks_prints_the_whole_pass(sigma, capsys,
+                                                            monkeypatch):
+    # the 1,824-point cloud is one chunk by default; at seven points a
+    # chunk the count and the clearance are those of the whole cloud
+    argv = ["pi-union", "--sigma", str(sigma), "--nmax", "6",
+            "--alpha-count", "16"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(transfer, "HOLE_CHUNK", 7)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+
+
 def test_pi_union_outputs(tmp_path, capsys):
     csv = str(tmp_path / "pi.csv")
     svg = str(tmp_path / "pi.svg")
@@ -411,14 +425,22 @@ def test_finite_too_big_for_memory_exits_2(monkeypatch, capsys):
     assert "sections of size 1000000" in err and "available" in err
 
 
-def _proc_files(cgroup_max="max"):
-    """/proc and cgroup v2 files of a host with 8 GB available, a
-    process of 600,000 KiB VmSize and a cgroup 700 MiB into its limit."""
-    return {"/proc/meminfo": "MemTotal: 16000000 kB\nMemAvailable: 8000000 kB\n",
-            "/proc/self/status": "Name:\tpython\nVmSize:\t  600000 kB\n",
-            "/proc/self/cgroup": "0::/box\n",
-            "/sys/fs/cgroup/box/memory.max": cgroup_max + "\n",
-            "/sys/fs/cgroup/box/memory.current": str(700 * 2 ** 20) + "\n"}
+def _proc_files(cgroup_max="max", v1_limit=None):
+    """/proc and cgroup files of a host with 8 GB available, a process of
+    600,000 KiB VmSize and a cgroup 700 MiB into its limit: cgroup v2 with
+    memory.max cgroup_max, or given v1_limit, a cgroup v1 memory controller
+    with that memory.limit_in_bytes (and no v2 memory files)."""
+    used = str(700 * 2 ** 20) + "\n"
+    files = {"/proc/meminfo": "MemTotal: 16000000 kB\nMemAvailable: 8000000 kB\n",
+             "/proc/self/status": "Name:\tpython\nVmSize:\t  600000 kB\n"}
+    if v1_limit is None:
+        return files | {"/proc/self/cgroup": "0::/box\n",
+                        "/sys/fs/cgroup/box/memory.max": cgroup_max + "\n",
+                        "/sys/fs/cgroup/box/memory.current": used}
+    v1 = "/sys/fs/cgroup/memory/box/memory."
+    return files | {"/proc/self/cgroup": "4:memory:/box\n1:cpu:/\n0::/\n",
+                    v1 + "limit_in_bytes": v1_limit + "\n",
+                    v1 + "usage_in_bytes": used}
 
 
 @pytest.mark.parametrize("files, soft, free", [
@@ -428,6 +450,12 @@ def _proc_files(cgroup_max="max"):
     (_proc_files(str(2 ** 30)), resource.RLIM_INFINITY, 324 * 2 ** 20),
     (_proc_files(str(2 ** 30)), 900000 * 1024, 300000 * 1024),
     ({}, resource.RLIM_INFINITY, None),
+    # cgroup v1 writes "no limit" as 2^63 less a 4 KiB page
+    (_proc_files(v1_limit="9223372036854771712"), resource.RLIM_INFINITY,
+     8000000 * 1024),
+    (_proc_files(v1_limit=str(2 ** 30)), resource.RLIM_INFINITY,
+     324 * 2 ** 20),
+    (_proc_files(v1_limit=str(2 ** 30)), 900000 * 1024, 300000 * 1024),
 ])
 def test_available_memory_takes_the_least_limit(files, soft, free,
                                                 monkeypatch):

@@ -471,8 +471,9 @@ def test_bloch_spectrum_matches_per_twist_solves(signs, sigma, count):
     n = len(signs)
     built, shapes = [], []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectra, "_periodic_stack", lambda c, al: built.append(
-            np.ravel(al)) or _periodic_stack(c, al))
+        mp.setattr(spectra, "_periodic_stack", lambda c, al, half=False:
+                   built.append(np.ravel(al)) or _periodic_stack(c, al,
+                                                                half=half))
         mp.setattr(spectra, "eigvals_stack",
                    lambda s: shapes.append(s.shape) or eigvals_stack(s))
         cloud = bloch_spectrum(word, count)
@@ -839,19 +840,45 @@ def test_random_periodic_sample_validation():
 
 def test_samplers_refuse_sections_beyond_memory(monkeypatch):
     # a solve of B sections of size N in W row blocks takes at most
-    # 20 (B + W) N^2 bytes, and a size's B is its point count over N; the
-    # needs below take W = 1, which holds because these stacks are too small
-    # to split
+    # (k B + 20 W) N^2 + 64 B N bytes, k = 16 for sections solved whole
+    # (odd N, and finite's open section) and 12 at half size (even N), and
+    # a size's B is its point count over N; the needs below take W = 1,
+    # which holds because these stacks are too small to split
     args = (40, (3, 12), 0.5, 0.5, 3)
     n, points = np.unique(random_periodic_sample(*args).N, return_counts=True)
-    for need, call in ((int((20 * (points + n) * n).max()),
+    b, k = points // n, np.where(n % 2, 16, 12)
+    for need, call in ((int((((k * b + 20) * n + 64 * b) * n).max()),
                         lambda: random_periodic_sample(*args)),
-                       (40 * 9 ** 2, lambda: random_finite_sample(9))):
+                       (((16 + 20) * 9 + 64) * 9,
+                        lambda: random_finite_sample(9))):
         monkeypatch.setattr(spectra, "_available_memory", lambda: need - 1)
         with pytest.raises(ValueError, match="available"):
             call()
         monkeypatch.setattr(spectra, "_available_memory", lambda: need)
         call()
+
+
+def test_even_sections_are_solved_without_a_whole_stack(traced_peak):
+    # a (B, N, N) complex stack alone takes 16 B N^2 bytes.  At N = 12 the
+    # solve builds two (B, 6, 6) blocks and their product, and when every
+    # section has a root at 0 (c = 1 at twist 1), it solves them whole half
+    # at a time; at N = 13 it builds the stack.  _solve_bytes bounds each
+    b, rng = 2000, np.random.default_rng(11)
+    cases = [(0.5 * rng.choice([-1.0, 1.0], (b, 12)), rng.random(b)),
+             (np.ones(12), np.zeros(b)),
+             (0.5 * rng.choice([-1.0, 1.0], (b, 13)), rng.random(b))]
+    shapes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "eigvals_stack",
+                   lambda s: shapes.append(s.shape) or eigvals_stack(s))
+        for c, turns in cases:
+            n = np.shape(c)[-1]
+            peak = traced_peak(lambda: spectra._periodic_spectra(
+                c, np.exp(2j * np.pi * turns)))
+            assert (peak < 16 * b * n * n) == (n % 2 == 0)
+            assert peak <= spectra._solve_bytes(b, n)
+    assert shapes == [(b, 6, 6), (b, 6, 6), (b // 2, 12, 12),
+                      (b // 2, 12, 12), (b, 13, 13)]
 
 
 def test_seeds_above_2_63_give_distinct_streams():

@@ -438,6 +438,58 @@ def test_hole_clearance_matches_plain_scan(case, monkeypatch):
     assert projected[0].tolist() == [pts[least]]
 
 
+def gaussian_cloud_with_hole_points():
+    rng = np.random.default_rng(249)
+    return 0.8 * (rng.normal(size=400) + 1j * rng.normal(size=400))
+
+
+@pytest.mark.parametrize("case", [*CLEARANCE_CASES, "inside"])
+def test_chunked_hole_pass_matches_whole_passes(case, monkeypatch):
+    # seven points a chunk: the count and the clearance of one chunked pass
+    # equal a count of the whole cloud's negative forms and a plain scan;
+    # the point of least form comes last, so the last chunk counts
+    sigma, make = CLEARANCE_CASES.get(
+        case, (0.5, gaussian_cloud_with_hole_points))
+    pts = make()
+    f = np.maximum(*ellipse_forms(pts, RegionParams(sigma)))
+    pts, f = (np.roll(x, -1 - np.argmin(f)) for x in (pts, f))
+    th = np.linspace(0, 2 * np.pi, 8192, endpoint=False)
+    verts = hole_boundary_radius(th, sigma) * np.exp(1j * th)
+    plain = segment_distances(pts, verts, np.roll(verts, -1)).min()
+    projected = []
+
+    def spy(points, a, b):
+        projected.append(np.atleast_1d(points))
+        return segment_distances(points, a, b)
+
+    monkeypatch.setattr(transfer, "segment_distances", spy)
+    monkeypatch.setattr(transfer, "HOLE_CHUNK", 7)
+    count, gap = hole_clearance(pts, sigma, count=True)
+    assert count == (f < 0).sum() and (count > 0) == (case == "inside")
+    if count:
+        assert gap == 0.0 and not projected
+    else:  # the point of least form is projected first, and alone
+        assert gap == plain
+        assert projected[0].tolist() == [pts[np.argmin(f)]]
+
+
+def test_hole_pass_memory_does_not_grow_with_the_cloud(monkeypatch,
+                                                       traced_peak):
+    # at 1024 points a chunk, a 30,000-point cloud takes no more memory than
+    # a tenth of it: no array of the pass is as long as the cloud.  Read in
+    # one chunk, the pass takes 16 to 31 bytes a point more
+    def peak(pts, chunk):
+        monkeypatch.setattr(transfer, "HOLE_CHUNK", chunk)
+        return traced_peak(lambda: hole_clearance(pts, 0.5, count=True))
+
+    rng = np.random.default_rng(250)
+    cloud = 1.5 * (rng.normal(size=30000) + 1j * rng.normal(size=30000))
+    for pts in (cloud, outside_hole(cloud, 0.5)):  # counted, then projected
+        tenth = peak(np.ascontiguousarray(pts[:len(pts) // 10]), 1024)
+        assert peak(pts, 1024) - tenth < 4 * len(pts)
+        assert peak(pts, len(pts)) - tenth > 8 * len(pts)  # as one chunk
+
+
 # ---------------------------------------------------------------- membership
 
 def test_paired_member_cases():
