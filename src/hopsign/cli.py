@@ -56,7 +56,7 @@ def _derived_path(path, tag):
 def cmd_pi_union(args):
     cloud = pi_union(args.nmax, args.sigma, args.alpha_count)
     # at sigma = 1 the ellipse forms are 4 Im^2 and 4 Re^2: the hole is empty
-    n_in, gap = (hole_clearance(cloud.points, args.sigma, count=True)
+    n_in, gap = (hole_clearance(cloud.points, args.sigma)
                  if args.sigma < 1.0 else (0, None))
     print(f"pi-union: sigma={args.sigma:g} n_max={args.nmax} "
           f"alpha_count={args.alpha_count}: {len(cloud)} points")

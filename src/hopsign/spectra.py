@@ -287,6 +287,8 @@ def _periodic_stack(c, alphas, diag=0.0, half=False):
     (even N, diag 0), its blocks [:, 0::2, 1::2] and [:, 1::2, 0::2] only."""
     alphas = np.asarray(alphas, dtype=complex).ravel()
     c = np.broadcast_to(np.asarray(c, float), (len(alphas), np.shape(c)[-1]))
+    if half and np.any(diag):
+        raise ValueError("half-size blocks need a zero diagonal")
     if half:  # even to odd sites and back
         p = _band(c[:, 1:-1:2], 1.0, 0.0)
         q = _band(np.zeros_like(c[:, 1:-1:2]), c[:, 0::2])
@@ -302,19 +304,19 @@ def _periodic_spectra(c, alphas):
     _assert_inclusion at sigma = max |c|: the one periodised-section solve.
     Even N is solved at half size: on the odd and even sites a zero-diagonal
     section is A = [[0, P], [Q, 0]], so spec A = +-sqrt(spec PQ).  A root
-    lam carries a backward error of about eps ||A||^2 / |lam|, so sections
-    with a root below ROOT_FLOOR (sigma > 1 - ROOT_FLOOR only) are solved
-    whole, half of the stack at a time."""
+    lam carries a backward error of about eps ||A||^2 / |lam|, so a section
+    with a root below ROOT_FLOOR (sigma > 1 - ROOT_FLOOR only) is solved
+    whole."""
     if np.shape(c)[-1] % 2:
         eig = eigvals_stack(_periodic_stack(c, alphas))
     else:  # P and Q are freed once multiplied
         root = np.sqrt(eigvals_stack(
             np.matmul(*_periodic_stack(c, alphas, half=True))))
         eig = sort_rows(np.concatenate([root, -root], axis=1))
-        near = np.flatnonzero(np.abs(root).min(axis=1) < ROOT_FLOOR)
-        for part in filter(len, np.array_split(near, 2)):
-            eig[part] = eigvals_stack(_periodic_stack(
-                np.broadcast_to(c, eig.shape)[part], np.ravel(alphas)[part]))
+        near = np.abs(root).min(axis=1) < ROOT_FLOOR
+        if near.any():
+            eig[near] = eigvals_stack(_periodic_stack(
+                np.broadcast_to(c, eig.shape)[near], np.ravel(alphas)[near]))
     _assert_inclusion(eig, float(np.abs(c).max()))
     return eig
 
@@ -522,14 +524,13 @@ def _available_memory():
     return max(min(free), 0) if free else None
 
 
-def _solve_bytes(b, n, whole=False):
-    """The most a solve of b sections of size n takes: (k b + 20 W) n^2 +
-    64 b n bytes for W = solve_blocks(b, n) threads, each with LAPACK's copy
-    of a section, and four (b, n) eigenvalue arrays; k = 16, a complex
-    stack, when solved whole (odd n, or whole), else 12: the two half-size
-    blocks and their product, or half the sections solved whole."""
-    k = 16 if whole or n % 2 else 12
-    return ((k * b + 20 * solve_blocks(b, n)) * n + 64 * b) * n
+def _solve_bytes(b, n):
+    """The most a solve of b sections of size n takes: (16 b + 20 W) n^2 +
+    80 b n bytes for W = solve_blocks(b, n) threads, each with LAPACK's copy
+    of a section, and five (b, n) eigenvalue arrays.  16 b n^2 is the stack
+    of sections solved whole (odd n, or even n with a root below ROOT_FLOOR,
+    which may be all); the half-size blocks and product take 12 b n^2."""
+    return ((16 * b + 20 * solve_blocks(b, n)) * n + 80 * b) * n
 
 
 def _require_memory(nbytes, what):
@@ -600,7 +601,7 @@ def random_finite_sample(n, p_sigma=0.5, sigma=0.5, seed=0):
         raise ValueError("need n >= 3")
     if not 0.0 < p_sigma < 1.0:
         raise ValueError("p_sigma must be in (0, 1)")
-    _require_memory(_solve_bytes(1, n, whole=True), f"sections of size {n}")
+    _require_memory(_solve_bytes(1, n), f"sections of size {n}")
     g = _generator(seed, 13, n, int(round(p_sigma * 10 ** 9)))
     c = sigma * np.where(g.random(n) < p_sigma, 1.0, -1.0)
     alpha = complex(np.exp(2j * np.pi * g.random()))

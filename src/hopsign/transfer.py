@@ -197,11 +197,11 @@ def hole_boundary_radius(theta, sigma):
                       rho_curve(0, "-", theta, sigma))
 
 
-def hole_clearance(lams, sigma, count=False):
-    """Minimum distance from a finite point set to the closed central hole,
-    by exact projection onto the chords of a dense boundary polyline; 0 when
-    a point lies in the open hole, where f = max(f_plus, f_minus) < 0.  With
-    count, (the number of points in the open hole, that distance).
+def hole_clearance(lams, sigma):
+    """(n, d) for a finite point set: n of its points lie in the open
+    central hole, where f = max(f_plus, f_minus) < 0, and d is its minimum
+    distance to the closed hole, by exact projection onto the chords of a
+    dense boundary polyline; 0 when a point lies in the open hole.
 
     Both ellipses contain the hole.  A point with f >= 0 lies on or outside
     the copies of both ellipses scaled by k = sqrt(1 + f / (1 - sigma^2)^2),
@@ -235,7 +235,7 @@ def hole_clearance(lams, sigma, count=False):
             low = (np.sqrt(1.0 + f / (1.0 - s * s) ** 2) - 1.0) * (1.0 - s)
             near = z[low <= best * (1.0 + 1e-9)]
             gap = segment_distances(near, starts, ends).min(initial=gap)
-    return (n_in, float(gap)) if count else float(gap)
+    return n_in, float(gap)
 
 
 def paired_member(word_c, tail_sign, lam, tol=1e-9):

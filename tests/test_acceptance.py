@@ -152,8 +152,8 @@ def test_criterion_05_union_avoids_the_hole():
     off_ellipse = max(float(np.abs(f_plus[on_plus]).max()),
                       float(np.abs(f_minus[on_minus]).max())) / rhs
     longer = ~(on_plus | on_minus)
-    dmin_all = hole_clearance(pts, sigma)
-    dmin = hole_clearance(pts[longer], sigma)
+    dmin_all = hole_clearance(pts, sigma)[1]
+    dmin = hole_clearance(pts[longer], sigma)[1]
     ok = depth >= -1e-12 and off_ellipse <= 1e-12 and dmin > 0.01
     line = report(5, ok, f"{len(cloud)} points, n_max {n_max}: {n_in} in the "
                          f"open hole, deepest {depth:.3g} (need >= -1e-12); "

@@ -63,6 +63,16 @@ def test_periodic_stack_rows_match_build_periodic():
         want = build_periodic(c[b], alphas[b])
         assert stack[b].tobytes() == want.tobytes()
         assert shared[b].tobytes() == build_periodic(c[0], alphas[b]).tobytes()
+    # at even N, half gives the whole stack's two sublattice blocks, bit
+    # for bit, and refuses a diagonal, which would break them
+    c = 0.5 * rng.choice([-1.0, 1.0], size=(6, 8))
+    for rows in (c, c[0]):
+        whole = _periodic_stack(rows, alphas)
+        p, q = _periodic_stack(rows, alphas, half=True)
+        assert p.tobytes() == whole[:, 0::2, 1::2].tobytes()
+        assert q.tobytes() == whole[:, 1::2, 0::2].tobytes()
+    with pytest.raises(ValueError, match="zero diagonal"):
+        _periodic_stack(c, alphas, 0.25, half=True)
 
 
 def test_m_ring_stack_is_the_companion_ring():
@@ -840,17 +850,17 @@ def test_random_periodic_sample_validation():
 
 def test_samplers_refuse_sections_beyond_memory(monkeypatch):
     # a solve of B sections of size N in W row blocks takes at most
-    # (k B + 20 W) N^2 + 64 B N bytes, k = 16 for sections solved whole
-    # (odd N, and finite's open section) and 12 at half size (even N), and
-    # a size's B is its point count over N; the needs below take W = 1,
-    # which holds because these stacks are too small to split
+    # (16 B + 20 W) N^2 + 80 B N bytes, and a size's B is its point count
+    # over N; the needs below take W = 1, which holds because these stacks
+    # are too small to split
+    def need(b, n):
+        return ((16 * b + 20) * n + 80 * b) * n
+
     args = (40, (3, 12), 0.5, 0.5, 3)
     n, points = np.unique(random_periodic_sample(*args).N, return_counts=True)
-    b, k = points // n, np.where(n % 2, 16, 12)
-    for need, call in ((int((((k * b + 20) * n + 64 * b) * n).max()),
+    for need, call in ((int(need(points // n, n).max()),
                         lambda: random_periodic_sample(*args)),
-                       (((16 + 20) * 9 + 64) * 9,
-                        lambda: random_finite_sample(9))):
+                       (need(1, 9), lambda: random_finite_sample(9))):
         monkeypatch.setattr(spectra, "_available_memory", lambda: need - 1)
         with pytest.raises(ValueError, match="available"):
             call()
@@ -860,25 +870,24 @@ def test_samplers_refuse_sections_beyond_memory(monkeypatch):
 
 def test_even_sections_are_solved_without_a_whole_stack(traced_peak):
     # a (B, N, N) complex stack alone takes 16 B N^2 bytes.  At N = 12 the
-    # solve builds two (B, 6, 6) blocks and their product, and when every
-    # section has a root at 0 (c = 1 at twist 1), it solves them whole half
-    # at a time; at N = 13 it builds the stack.  _solve_bytes bounds each
+    # solve builds two (B, 6, 6) blocks and their product, and the stack
+    # only when a section has a root near 0, as every one has at c = 1 and
+    # twist 1; at N = 13 it builds the stack.  _solve_bytes bounds each
     b, rng = 2000, np.random.default_rng(11)
-    cases = [(0.5 * rng.choice([-1.0, 1.0], (b, 12)), rng.random(b)),
-             (np.ones(12), np.zeros(b)),
-             (0.5 * rng.choice([-1.0, 1.0], (b, 13)), rng.random(b))]
+    cases = [(0.5 * rng.choice([-1.0, 1.0], (b, 12)), rng.random(b), False),
+             (np.ones(12), np.zeros(b), True),
+             (0.5 * rng.choice([-1.0, 1.0], (b, 13)), rng.random(b), True)]
     shapes = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "eigvals_stack",
                    lambda s: shapes.append(s.shape) or eigvals_stack(s))
-        for c, turns in cases:
+        for c, turns, whole in cases:
             n = np.shape(c)[-1]
             peak = traced_peak(lambda: spectra._periodic_spectra(
                 c, np.exp(2j * np.pi * turns)))
-            assert (peak < 16 * b * n * n) == (n % 2 == 0)
+            assert (peak >= 16 * b * n * n) == whole
             assert peak <= spectra._solve_bytes(b, n)
-    assert shapes == [(b, 6, 6), (b, 6, 6), (b // 2, 12, 12),
-                      (b // 2, 12, 12), (b, 13, 13)]
+    assert shapes == [(b, 6, 6), (b, 6, 6), (b, 12, 12), (b, 13, 13)]
 
 
 def test_seeds_above_2_63_give_distinct_streams():

@@ -357,9 +357,9 @@ def test_hole_boundary_radius():
 
 def test_hole_clearance_known_values():
     sigma = 0.5
-    assert hole_clearance([0.0 + 0j], sigma) == 0.0  # point inside the hole
-    assert hole_clearance([1.0 + 0j], sigma) == pytest.approx(0.5, abs=1e-5)
-    assert hole_clearance([1.5 + 0j], sigma) == pytest.approx(1.0, abs=1e-5)
+    assert hole_clearance([0.0 + 0j], sigma)[1] == 0.0  # point inside the hole
+    assert hole_clearance([1.0 + 0j], sigma)[1] == pytest.approx(0.5, abs=1e-5)
+    assert hole_clearance([1.5 + 0j], sigma)[1] == pytest.approx(1.0, abs=1e-5)
     with pytest.raises(ValueError):
         hole_clearance([], sigma)
     with pytest.raises(ValueError):
@@ -381,8 +381,8 @@ def test_hole_clearance_of_single_boundary_vertices(sigma):
     if sigma == 0.5:  # a vertex of the polyline from the double-angle radius
         pts.append(0.49999985293097976 + 0.0011504872829195504j)
     for z in pts:
-        assert hole_clearance([z], sigma) == segment_distances(z, verts,
-                                                               ends)[0]
+        assert hole_clearance([z], sigma)[1] == segment_distances(z, verts,
+                                                                  ends)[0]
 
 
 def union_periods_2(sigma):
@@ -431,7 +431,7 @@ def test_hole_clearance_matches_plain_scan(case, monkeypatch):
         return segment_distances(points, a, b)
 
     monkeypatch.setattr(transfer, "segment_distances", spy)
-    assert hole_clearance(pts, sigma) == plain
+    assert hole_clearance(pts, sigma)[1] == plain
     # the bound grows with the ellipse form, so the point of least form is
     # projected first, and alone
     least = np.argmin(np.maximum(*ellipse_forms(pts, RegionParams(sigma))))
@@ -464,7 +464,7 @@ def test_chunked_hole_pass_matches_whole_passes(case, monkeypatch):
 
     monkeypatch.setattr(transfer, "segment_distances", spy)
     monkeypatch.setattr(transfer, "HOLE_CHUNK", 7)
-    count, gap = hole_clearance(pts, sigma, count=True)
+    count, gap = hole_clearance(pts, sigma)
     assert count == (f < 0).sum() and (count > 0) == (case == "inside")
     if count:
         assert gap == 0.0 and not projected
@@ -480,7 +480,7 @@ def test_hole_pass_memory_does_not_grow_with_the_cloud(monkeypatch,
     # one chunk, the pass takes 16 to 31 bytes a point more
     def peak(pts, chunk):
         monkeypatch.setattr(transfer, "HOLE_CHUNK", chunk)
-        return traced_peak(lambda: hole_clearance(pts, 0.5, count=True))
+        return traced_peak(lambda: hole_clearance(pts, 0.5))
 
     rng = np.random.default_rng(250)
     cloud = 1.5 * (rng.normal(size=30000) + 1j * rng.normal(size=30000))
