@@ -116,7 +116,9 @@ def _curve_samples(n, branch, sigma):
 def _curve_deviation(pts, n, branch, sigma):
     """Max distance from computed eigenvalues to the closed-form spectrum:
     radial gap at each point's own angle for sigma < 1, exact distance to
-    the star segments at sigma = 1."""
+    the star segments at sigma = 1. The gap is ill-conditioned near
+    sigma = 1: rho moves by O(1) within an ulp of angle (0.4 at n = 2,
+    sigma = 1 - 2^-53)."""
     if sigma < 1.0:
         gap = np.abs(np.abs(pts) - rho_curve(n, branch, np.angle(pts), sigma))
         return float(gap.max())

@@ -23,7 +23,6 @@ c-tilde convention flips to +1.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -293,37 +292,21 @@ def m_word(b, sigma=None):
     return DiagWord(diag, -b.sigma, sigma)
 
 
-# c-tilde values, grown on demand under a lock.  The defining recursion is
-# sequential through the odd entries, so a naive top-down memo would recurse
-# to depth O(n); instead the cache doubles via the closed form
-# c~_{2n} = (-1)**(n-1) * prod(c~_1..c~_n), c~_{2n+1} = -c~_{2n},
-# which follows from c~_{2n} = c~_{2n-1} c~_n = -c~_{2n-2} c~_n.
-_ct_lock = threading.Lock()
-_ct_cache = np.array([0, 1, 1, -1], dtype=np.int8)  # index 0 unused
-_ct_cache.flags.writeable = False
-
-
 def c_tilde_array(nmax):
-    """Read-only array a with a[n] = c~_n for 1 <= n <= nmax."""
-    global _ct_cache
+    """Read-only array a with a[n] = c~_n for 1 <= n <= nmax (a[0] unused),
+    doubled from c~_1 by the closed form, which follows from
+    c~_{2n} = c~_{2n-1} c~_n = -c~_{2n-2} c~_n:
+    c~_{2n} = (-1)**(n-1) * prod(c~_1..c~_n), c~_{2n+1} = -c~_{2n}."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    if len(_ct_cache) - 1 < nmax:
-        with _ct_lock:
-            arr = _ct_cache
-            while len(arr) - 1 < nmax:
-                M = len(arr) - 1
-                prod = np.cumprod(arr[1:M + 1], dtype=np.int8)
-                n = np.arange(1, M + 1)
-                even = np.where(n % 2 == 1, prod, -prod).astype(np.int8)
-                new = np.empty(2 * M + 2, dtype=np.int8)
-                new[:M + 1] = arr
-                new[2 * n] = even
-                new[2 * n + 1] = -even
-                arr = new
-            arr.flags.writeable = False
-            _ct_cache = arr
-    return _ct_cache[:nmax + 1]
+    arr = np.array([0, 1], dtype=np.int8)
+    while len(arr) <= nmax:
+        even = np.cumprod(arr[1:], dtype=np.int8)
+        even[1::2] *= -1  # (-1)**(n-1) at n = 1 .. len(arr) - 1
+        arr = np.append(arr[:2], np.stack([even, -even], axis=1))
+    arr = arr[:nmax + 1]
+    arr.flags.writeable = False
+    return arr
 
 
 def c_tilde(n):

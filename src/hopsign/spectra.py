@@ -74,10 +74,11 @@ class SpectrumCloud:
         if not np.all((twist >= 0) & (twist < len(self.twists))):
             raise ValueError(f"twist index outside the table of "
                              f"{len(self.twists)} twists")
-        # each distinct (word_id, N) pair of the rows is looked up once
+        # each distinct (word_id, N) pair of the rows is looked up once (a
+        # zero-row block has none)
         order = np.lexsort((N.ravel(), word_id.ravel()))
         w, n = word_id[order, 0], N[order, 0]
-        new = np.r_[True, (w[1:] != w[:-1]) | (n[1:] != n[:-1])]
+        new = np.r_[True, (w[1:] != w[:-1]) | (n[1:] != n[:-1])][:len(w)]
         index = np.int32([self._pairs.setdefault(p, len(self._pairs))
                           for p in zip(w[new].tolist(), n[new].tolist())])
         pair = index[np.cumsum(new) - 1][order.argsort(), None]
@@ -280,20 +281,18 @@ def build_periodic(c, alpha):
     return _periodic_stack(c, [alpha])[0]
 
 
-def _periodic_stack(c, alphas, diag=0.0, half=False):
+def _periodic_stack(c, alphas, half=False):
     """(B, N, N) stack of periodised sections, one twist per row: c is (N,)
     (shared by all rows) or (B, N); each row is the band on c_1..c_{N-1}
-    (with diagonal diag) plus the corners alpha c_N and 1/alpha; with half
-    (even N, diag 0), its blocks [:, 0::2, 1::2] and [:, 1::2, 0::2] only."""
+    plus the corners alpha c_N and 1/alpha; with half (even N), its blocks
+    [:, 0::2, 1::2] and [:, 1::2, 0::2] only."""
     alphas = np.asarray(alphas, dtype=complex).ravel()
     c = np.broadcast_to(np.asarray(c, float), (len(alphas), np.shape(c)[-1]))
-    if half and np.any(diag):
-        raise ValueError("half-size blocks need a zero diagonal")
     if half:  # even to odd sites and back
         p = _band(c[:, 1:-1:2], 1.0, 0.0)
         q = _band(np.zeros_like(c[:, 1:-1:2]), c[:, 0::2])
     else:
-        p = q = _band(c[:, :-1], diag)
+        p = q = _band(c[:, :-1])
     p[:, 0, -1] = alphas * c[:, -1]
     q[:, -1, 0] = 1.0 / alphas
     return (p, q) if half else p
@@ -623,7 +622,10 @@ def _m_ring_stack(mw, alphas):
     """(B, P, P) stack of periodised sections of the companion operator:
     diagonal mw.diag, subdiagonal mw.sub, superdiagonal 1, corners
     (1,P) = alpha * mw.sub and (P,1) = 1/alpha."""
-    return _periodic_stack(np.full(mw.period, mw.sub), alphas, mw.diag)
+    a = _periodic_stack(np.full(mw.period, mw.sub), alphas)
+    idx = np.arange(mw.period)
+    a[:, idx, idx] = mw.diag
+    return a
 
 
 def square_spectrum_check(b, alpha_count):

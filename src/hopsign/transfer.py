@@ -288,7 +288,7 @@ def decay_check(lam, sigma, d):
         raise ValueError(
             f"sigma^(1/2) = {math.sqrt(sigma):.6g} is not < 4^(-1/{m}) = {h:.6g}; "
             f"minimal admissible d is {required_decay_order(sigma)}")
-    c = sigma * c_tilde_array(m)[1:DECAY_HORIZON + 1]  # c_1 .. c_min(m, r)
+    c = sigma * c_tilde_array(min(m, DECAY_HORIZON))[1:]  # c_1 .. c_min(m, r)
     t, e = transfer_product(c, lam)
     for _ in range(int(math.log2(DECAY_HORIZON / len(c)))):  # T_2n = T_n^2
         t = t @ t

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import hopsign.seqcore as seqcore
+import hopsign.polyalg as polyalg
 from hopsign.polyalg import (PTable, p_table, trace_poly, uv_polys,
                              verify_identities)
 from hopsign.seqcore import SignWord, c_tilde, c_tilde_array
@@ -89,7 +89,7 @@ def test_wronskian_is_the_sign_product(n):
 
 
 def _uv_loop(n_max):  # the per-step loop uv_polys replaced
-    ct = c_tilde_array(n_max + 1)
+    ct = polyalg.c_tilde_array(n_max + 1)  # the table uv_polys reads
     t = np.zeros((2, n_max + 2, n_max + 1), dtype=np.int8)
     t[0, 1, 0] = t[1, 0, 0] = 1
     for n in range(1, n_max + 1):
@@ -104,31 +104,24 @@ def test_uv_polys_match_step_loop(n_max):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_uv_polys_multiply_when_c_tilde_is_not_a_sign():
+def test_uv_polys_multiply_when_c_tilde_is_not_a_sign(monkeypatch):
     # a c~ table scaled by 2 (as the range check's test scales it by 100)
     # takes the multiplying step, not the +-1 table's add or subtract
-    seqcore.c_tilde_array(64)
-    saved = seqcore._ct_cache
-    try:
-        seqcore._ct_cache = saved * 2
-        for got, want in zip(uv_polys(6), _uv_loop(6)):
-            assert np.array_equal(got, want)
-        assert uv_polys(6)[1][2, 0] == -2  # v_2 = -c_1
-    finally:
-        seqcore._ct_cache = saved
+    monkeypatch.setattr(polyalg, "c_tilde_array",
+                        lambda nmax: c_tilde_array(nmax) * 2)
+    for got, want in zip(uv_polys(6), _uv_loop(6)):
+        assert np.array_equal(got, want)
+    assert uv_polys(6)[1][2, 0] == -2  # v_2 = -c_1
 
 
-def test_uv_range_check_trips_on_large_coefficients():
+def test_uv_range_check_trips_on_large_coefficients(monkeypatch):
     # c~ scaled by 100 puts -100 into v_2, outside the (-64, 64) range in
     # which no int8 step can wrap
-    seqcore.c_tilde_array(64)
-    saved = seqcore._ct_cache
-    try:
-        seqcore._ct_cache = saved * 100
+    with monkeypatch.context() as mp:
+        mp.setattr(polyalg, "c_tilde_array",
+                   lambda nmax: c_tilde_array(nmax) * 100)
         with pytest.raises(OverflowError, match="-64, 64"):
             uv_polys(40)
-    finally:
-        seqcore._ct_cache = saved
     uv_polys(40)
 
 
@@ -211,17 +204,18 @@ def test_verify_identities_validation():
         trace_poly(0)
 
 
-def test_verify_identities_catches_corrupted_cache():
-    # flip one sign in the shared c-tilde cache; the exact checks must fail
-    arr = seqcore.c_tilde_array(8)
-    assert arr[3] == -1
-    saved = seqcore._ct_cache  # read-only, so swap in a corrupted copy
-    bad = saved.copy()
-    bad[3] = 1
-    try:
-        seqcore._ct_cache = bad
+def test_verify_identities_catches_corrupted_cache(monkeypatch):
+    # flip one sign in the c-tilde table polyalg reads; the exact checks
+    # must fail
+    assert c_tilde_array(8)[3] == -1
+
+    def corrupted(nmax):
+        bad = c_tilde_array(nmax).copy()  # read-only, so corrupt a copy
+        bad[3] = 1
+        return bad
+
+    with monkeypatch.context() as mp:
+        mp.setattr(polyalg, "c_tilde_array", corrupted)
         rep = verify_identities(2)
         assert any(not row["ok"] for row in rep)
-    finally:
-        seqcore._ct_cache = saved
     assert all(row["ok"] for row in verify_identities(2))

@@ -312,7 +312,7 @@ def test_c_tilde_against_naive_recursion():
 
 
 def test_c_tilde_array_is_read_only():
-    for nmax in (3, 8, 5000):  # a view of the cache, before and after growth
+    for nmax in (3, 8, 5000):  # after one, three and twelve doublings
         with pytest.raises(ValueError):
             c_tilde_array(nmax)[3] = 5
     assert c_tilde(3) == -1

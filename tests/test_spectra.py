@@ -64,15 +64,13 @@ def test_periodic_stack_rows_match_build_periodic():
         assert stack[b].tobytes() == want.tobytes()
         assert shared[b].tobytes() == build_periodic(c[0], alphas[b]).tobytes()
     # at even N, half gives the whole stack's two sublattice blocks, bit
-    # for bit, and refuses a diagonal, which would break them
+    # for bit
     c = 0.5 * rng.choice([-1.0, 1.0], size=(6, 8))
     for rows in (c, c[0]):
         whole = _periodic_stack(rows, alphas)
         p, q = _periodic_stack(rows, alphas, half=True)
         assert p.tobytes() == whole[:, 0::2, 1::2].tobytes()
         assert q.tobytes() == whole[:, 1::2, 0::2].tobytes()
-    with pytest.raises(ValueError, match="zero diagonal"):
-        _periodic_stack(c, alphas, 0.25, half=True)
 
 
 def test_m_ring_stack_is_the_companion_ring():
@@ -90,7 +88,7 @@ def test_m_ring_stack_is_the_companion_ring():
                 want[i + 1, i] = mw.sub
         want[0, p - 1] = al * mw.sub
         want[p - 1, 0] = 1.0 / al
-        assert np.array_equal(stack[k], want)
+        assert stack[k].tobytes() == want.tobytes()
 
 
 def test_unit_grid():
@@ -116,7 +114,7 @@ def test_inclusion_guard_fires():
 
 # ---------------------------------------------------------------- clouds
 
-def test_cloud_tags_and_len():
+def test_cloud_tags_and_len(tmp_path):
     c = SpectrumCloud(0.5, twists=[1.0, 1j, -1.0, -1j])
     assert c.twists.tolist() == [1.0, 1j, -1.0, -1j]
     assert not c.twists.flags.writeable
@@ -147,6 +145,14 @@ def test_cloud_tags_and_len():
         with pytest.raises(ValueError, match="twist index"):
             c.add(block, 0, bad, 3)
     assert len(c) == 15
+    c.add(np.zeros((0, 3)), 0, 0, 3)  # a zero-row block adds no points
+    c.add([], 0, 0, 3)
+    assert len(c) == 15
+    c.sort().write_csv(tmp_path / "c.csv")
+    assert sorted(c.word_id) == [1, 3, 3] + [7] * 3 + [8] * 3 + [9] * 6
+    rows = [r for r in (tmp_path / "c.csv").read_text().splitlines()
+            if not r.startswith("#")]
+    assert len(rows) == 15
     assert list(SpectrumCloud(0.5).twists) == [1.0]  # the default table
     shared = _shared_pair_cloud()  # one (word_id, N) pair from two blocks
     assert list(shared.word_id) == [5, 5, 2, 2, 5, 5, 5, 5, 5, 5]

@@ -614,6 +614,18 @@ def test_decay_check_beyond_the_horizon_is_the_direct_product():
         assert np.array_equal(got, ref)
 
 
+def test_decay_check_builds_no_more_c_tilde_than_the_horizon(monkeypatch):
+    # sigma = 1 - 1e-9 needs d = 32, a period of 2^32 coefficients, of which
+    # the recurrence reads only the first DECAY_HORIZON
+    def spy(nmax):
+        assert nmax <= DECAY_HORIZON, f"c_tilde_array({nmax})"
+        return c_tilde_array(nmax)
+
+    monkeypatch.setattr(transfer, "c_tilde_array", spy)
+    res = decay_check(0.3, 1 - 1e-9, 32)
+    assert res["required_d"] == 32 and res["decays"]
+
+
 def test_decay_check_validation():
     with pytest.raises(ValueError):
         decay_check(0.3, 0.5, 2)  # sqrt(0.5) equals 4^(-1/4), not below it
